@@ -10,7 +10,10 @@ Core surface:
   and mgfs (direct and mixture forms);
 - :mod:`bgedist.inference` -- likelihood, score, expected information,
   maximum-likelihood fitting, confidence intervals, LR tests;
-- :mod:`bgedist.specfun` -- the scalar special-function kernel.
+- :mod:`bgedist.specfun` -- the special-function kernel.
+
+Importing the package loads no part of scipy; each function imports the
+scipy module it needs on first use.
 """
 
 from .distribution import BGE, Sample

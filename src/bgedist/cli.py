@@ -284,24 +284,35 @@ def cmd_reproduce(args, out) -> int:
     return EXIT_OK
 
 
+#: Every flag with its argparse settings; each subcommand takes only its own.
+_FLAGS = {
+    "model": {"choices": sorted(MODEL_FREE_PARAMS), "default": "bge"},
+    "input": {"default": None, "help": "data file, one value per line"},
+    "seed": {"type": int, "default": None},
+    "n": {"type": int, "default": None},
+    "params": {"default": None, "help": "a,b,lambda,alpha"},
+    "grid": {"default": "0.01:5:100", "help": "min:max:points"},
+    "format": {"choices": ("human", "structured"), "default": "human"},
+    "sweep": {"choices": ("a", "b"), "default": None},
+}
+
+_SUBCOMMANDS = (
+    ("fit", "fit a model to a data file", ("model", "input", "format")),
+    ("compare", "fit bge/be/ge and run both LR tests", ("input", "format")),
+    ("sample", "draw seeded values", ("params", "n", "seed")),
+    ("curve", "emit density/hazard or sweep tables", ("params", "grid", "sweep")),
+    ("reproduce", "re-run the embedded glass-fibre benchmark", ()),
+)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="bgedist",
                      description="Beta generalized exponential distribution toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (("fit", "fit a model to a data file"),
-                            ("compare", "fit bge/be/ge and run both LR tests"),
-                            ("sample", "draw seeded values"),
-                            ("curve", "emit density/hazard or sweep tables"),
-                            ("reproduce", "re-run the embedded glass-fibre benchmark")):
+    for name, help_text, flags in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--model", choices=sorted(MODEL_FREE_PARAMS), default="bge")
-        p.add_argument("--input", default=None, help="data file, one value per line")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--params", default=None, help="a,b,lambda,alpha")
-        p.add_argument("--grid", default="0.01:5:100", help="min:max:points")
-        p.add_argument("--format", choices=("human", "structured"), default="human")
-        p.add_argument("--sweep", choices=("a", "b"), default=None)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 

@@ -7,7 +7,9 @@ default: on some datasets the likelihood increases without bound along
 a b -> infinity ridge on which the family degenerates to a generalized
 gamma limit, so an unbounded "MLE" does not exist.  Fits that terminate
 on the box are reported with ``converged=False`` and the active bounds
-listed in ``hit_bounds``.
+listed in ``hit_bounds``.  ``scipy.optimize`` and ``scipy.integrate``
+are imported by the functions that use them, so importing the package
+does not load them.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize
 
 from . import specfun
 from .distribution import BGE, Sample
@@ -166,6 +166,8 @@ def t_expectation(dist: BGE, i: int, j: int, k: int, l: int, m: int) -> float:
     if not (a + i + (l - k) / alpha > 0.0):
         raise NonIntegrableError(
             f"T_{{{i},{j},{k},{l},{m}}} diverges at v=0 for a={a}, alpha={alpha}")
+
+    from scipy.integrate import quad
 
     lbeta = specfun.log_beta(a, b)
     pow_v = a - 1.0 + i - k / alpha
@@ -421,6 +423,8 @@ def fit_mle(data, model: str = "bge", init: BGE | None = None, *,
         overall, ties broken by start index.  Non-convergence (including
         ridge terminations on the box) is reported, never raised.
     """
+    from scipy.optimize import minimize
+
     if model not in MODEL_FREE_PARAMS:
         raise ValueError(f"unknown model tag {model!r}; expected one of {sorted(MODEL_FREE_PARAMS)}")
     y = _as_values(data)

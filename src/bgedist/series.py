@@ -4,8 +4,12 @@ Every series here comes in two flavours, dispatched on whether the
 shape parameter ``b`` is (numerically) a positive integer: the integer
 branch is a finite binomial sum, the real branch an infinite series
 whose coefficients involve the gamma function at descending, eventually
-negative, arguments.  The reciprocal gamma values are computed through
-``lgamma`` of the absolute argument with explicit sign tracking.
+negative, arguments.  Both take the signed coefficients
+(-1)^j Gamma(b) / (Gamma(b-j) j!) from their ratio recurrence, which
+carries less rounding into the alternating sums than differences of
+``lgamma`` values do.  Terms are evaluated in numpy blocks of the
+summation index; ``scipy.special`` is imported by the functions that use
+it, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import specfun
 from .distribution import BGE, log1mexp
@@ -85,12 +91,13 @@ class SeriesEval(NamedTuple):
     terms: int
 
 
-def _recip_gamma_sign(z: float) -> float:
-    """Sign of 1/Gamma(z) (equals sign of Gamma(z); zero never occurs
-    for the non-integer arguments this module produces)."""
-    if z > 0.0:
-        return 1.0
-    return 1.0 if math.floor(z) % 2 == 0 else -1.0
+#: Real-b terms are computed in blocks of j that double in size from
+#: _BLOCK_MIN up to _BLOCK_MAX, so a fast series pays for a small block.
+_BLOCK_MIN = 64
+_BLOCK_MAX = 4096
+#: Terms carried from one block to the next for the exit tests.
+_HISTORY = 8
+_LN2 = math.log(2.0)
 
 
 def _cancellation_guard(total: float, peak: float, what: str) -> None:
@@ -104,17 +111,53 @@ def _cancellation_guard(total: float, peak: float, what: str) -> None:
             f"at these parameters", partial=total, terms=0)
 
 
+def _coefficients(b: float, j: np.ndarray, before: float) -> np.ndarray:
+    """(-1)^j Gamma(b) / (Gamma(b-j) j!) over a block of consecutive j, by
+    c_j = c_{j-1} (j - b) / j from ``before`` = c_{j-1} of the block's
+    first j (1.0 for the block that starts at j = 0, where c_0 = 1).
+    For integer b this is (-1)^j C(b-1, j)."""
+    ratio = (j - b) / np.maximum(j, 1.0)
+    ratio[j == 0] = 1.0
+    return np.cumprod(np.concatenate(([before], ratio)))[1:]
+
+
+def _scaled_terms(coef: np.ndarray, log_scale: float, lp: np.ndarray) -> np.ndarray:
+    """coef * exp(log_scale + lp), with exp(log_scale) applied as a power
+    of two so that its rounding is common to all terms and is not
+    amplified by cancellation; inf where a term overflows."""
+    e2 = round(log_scale / _LN2)
+    with np.errstate(over="ignore"):
+        return np.ldexp(coef * np.exp((log_scale - e2 * _LN2) + lp), e2)
+
+
+def _first_result(results: list) -> list | None:
+    """The finished rows in order once every row is decided; raises the
+    lowest row's failure as soon as all rows before it have succeeded."""
+    for res in results:
+        if res is None:
+            return None
+        if isinstance(res, Exception):
+            raise res
+    return results
+
+
 def _sum_real_b(b: float,
-                log_payload: Callable[[float], float],
+                log_payload: Callable[[np.ndarray], np.ndarray],
                 ctl: SeriesControl,
                 log_prefactor: float,
-                what: str) -> SeriesEval:
+                whats: tuple) -> list:
     """Sum_{j>=0} (-1)^j payload(j) / (Gamma(b-j) j!) times a prefactor.
 
-    ``log_payload(j)`` returns the log of the (positive) j-th payload
-    (-inf for a vanishing term) and must accept real arguments.  Terms
-    alternate against the sign of 1/Gamma(b-j); once j exceeds b the
-    sign is constant.  Two exits:
+    ``log_payload`` maps an array of j (real values accepted) to the
+    logs of the (positive) payloads, -inf for a vanishing term: an
+    array shaped like j, or one row per entry of ``whats`` when several
+    series sharing b and the prefactor are summed together.  Each row
+    keeps its own exits and error bound; one ``SeriesEval`` per row is
+    returned, and the first failing row's error is raised.
+
+    Terms alternate against the sign of 1/Gamma(b-j); once j exceeds b
+    the sign is constant.  Terms are computed in blocks of j whose size
+    doubles from ``_BLOCK_MIN`` to ``_BLOCK_MAX``.  Two exits:
 
     * three consecutive sub-tolerance terms (fast geometric decay);
     * once the tail is one-signed and locally flat, the remainder is a
@@ -123,104 +166,143 @@ def _sum_real_b(b: float,
       |term(x)| = prefactor * payload(x) * Gamma(x+1-b) |sin(pi b)| /
       (pi Gamma(x+1)); this handles the slowly converging small-b case.
     """
+    rows = len(whats)
+    log_scale = log_prefactor - math.lgamma(b)
     log_sin = math.log(abs(math.sin(math.pi * b))) - math.log(math.pi)
-
-    def cont_mag(x: float) -> float:
-        lp = log_payload(x)
-        if lp == -math.inf:
-            return 0.0
-        # lgamma(x+1-b) - lgamma(x+1) via the stable difference: the
-        # direct subtraction is pure roundoff once x is huge
-        lmag = log_prefactor + lp + log_sin - specfun.lgamma_diff(x + 1.0 - b, b)
-        return math.exp(lmag) if lmag < 700.0 else math.inf
-
-    total = 0.0
-    small_run = 0
-    peak = 0.0
     j_min = min(int(math.ceil(b)) + 3, ctl.max_terms)
-    mags: list = []
-    last_signs = [0.0, 0.0, 0.0]
-    for j in range(ctl.max_terms):
-        lp = log_payload(j)
-        if lp == -math.inf:
-            term = 0.0
-        else:
-            # math.lgamma(z) is log|Gamma(z)| for negative non-integer z
-            lmag = log_prefactor + lp - math.lgamma(b - j) - math.lgamma(j + 1)
-            sign = (1.0 if j % 2 == 0 else -1.0) * _recip_gamma_sign(b - j)
-            term = sign * math.exp(lmag)
-        total += term
-        peak = max(peak, abs(term))
-        mags.append(abs(term))
-        last_signs = [last_signs[1], last_signs[2],
-                      math.copysign(1.0, term) if term != 0.0 else 0.0]
-        if abs(term) < ctl.term_tol:
-            small_run += 1
-        else:
-            small_run = 0
-        if j + 1 < j_min:
-            continue
-        if small_run >= 3:
-            _cancellation_guard(total, peak, what)
-            alternating = (last_signs[0] * last_signs[1] < 0
-                           and last_signs[1] * last_signs[2] < 0
-                           and mags[-3] >= mags[-2] >= mags[-1])
-            bound = mags[-1] if alternating else sum(mags[-3:])
-            # cancellation against the peak term caps the achievable
-            # accuracy in doubles regardless of truncation
-            return SeriesEval(total, bound + peak * 1e-15 + ctl.term_tol, j + 1)
-        if (j >= 128 and j % 32 == 0 and j > b + 10
-                and last_signs[0] == last_signs[1] == last_signs[2] != 0.0
-                and mags[j - 8] > mags[j] > 0.0):
-            # midpoint-rule remainder for the one-signed tail is
-            # |g'(X0)|/24 ~ d * t_j / 24 with d the local log-slope
-            d = math.log(mags[j - 8] / mags[j]) / 8.0
-            est_err = d * mags[j] / 8.0
-            ok_tol = max(50.0 * ctl.term_tol, 1e-10 * abs(total))
-            if d < 0.05 and est_err < ok_tol:
-                import warnings
+    h = _HISTORY
+    # the running sum and peak per row, and the last h magnitudes,
+    # signs and sub-tolerance flags carried into the next block
+    coef_before = 1.0
+    total = np.zeros(rows)
+    peak = np.zeros(rows)
+    mags = np.full((rows, h), np.nan)
+    signs = np.zeros((rows, h))
+    small = np.zeros((rows, h), dtype=bool)
+    results: list = [None] * rows
 
-                from scipy.integrate import IntegrationWarning, quad
+    def tail_sum(k: int, j: int) -> float:
+        """Midpoint integral of row k's continuous term extension past j."""
+        import warnings
 
-                x0 = j + 0.5
+        from scipy.integrate import IntegrationWarning, quad
 
-                def tail_integrand(w: float) -> float:
-                    # log substitution x = x0 e^w compresses both the
-                    # polynomial and slow-geometric tail scales
-                    if w > 600.0:
-                        return 0.0
-                    x = x0 * math.exp(w)
-                    return cont_mag(x) * x
+        def cont_mag(x: float) -> float:
+            lp = float(np.reshape(log_payload(x), rows)[k])
+            if lp == -math.inf:
+                return 0.0
+            # lgamma(x+1-b) - lgamma(x+1) via the stable difference: the
+            # direct subtraction is pure roundoff once x is huge
+            lmag = log_prefactor + lp + log_sin - specfun.lgamma_diff(x + 1.0 - b, b)
+            return math.exp(lmag) if lmag < 700.0 else math.inf
 
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", IntegrationWarning)
-                    tail, _ = quad(tail_integrand, 0.0, math.inf,
-                                   epsabs=ctl.term_tol, epsrel=1e-9, limit=200)
-                total += last_signs[2] * tail
-                _cancellation_guard(total, peak, what)
-                return SeriesEval(total, est_err + 1e-9 * tail + peak * 1e-15
-                                  + ctl.term_tol, j + 1)
-    raise SeriesConvergenceError(
-        f"{what}: series did not meet term_tol={ctl.term_tol} within {ctl.max_terms} terms",
-        partial=total, terms=ctl.max_terms)
+        x0 = j + 0.5
+
+        def tail_integrand(w: float) -> float:
+            # log substitution x = x0 e^w compresses both the
+            # polynomial and slow-geometric tail scales
+            if w > 600.0:
+                return 0.0
+            x = x0 * math.exp(w)
+            return cont_mag(x) * x
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            tail, _ = quad(tail_integrand, 0.0, math.inf,
+                           epsabs=ctl.term_tol, epsrel=1e-9, limit=200)
+        return tail
+
+    j0, size = 0, _BLOCK_MIN
+    while j0 < ctl.max_terms:
+        n = min(size, ctl.max_terms - j0)
+        j = np.arange(j0, j0 + n, dtype=float)
+        lp = np.reshape(log_payload(j), (rows, n))
+        coef = _coefficients(b, j, coef_before)
+        term = _scaled_terms(coef, log_scale, lp)
+        over = np.isinf(term)
+        run = np.cumsum(np.concatenate((total[:, None], term), axis=1), axis=1)[:, 1:]
+        mag = np.abs(term)
+        run_peak = np.maximum.accumulate(
+            np.concatenate((peak[:, None], mag), axis=1), axis=1)[:, 1:]
+        # column h + i of the extended arrays is term j0 + i
+        m_ext = np.concatenate((mags, mag), axis=1)
+        s_ext = np.concatenate((signs, np.sign(term)), axis=1)
+        k_ext = np.concatenate((small, mag < ctl.term_tol), axis=1)
+        s0, s1, s2 = s_ext[:, h - 2:-2], s_ext[:, h - 1:-1], s_ext[:, h:]
+        exit_small = (k_ext[:, h - 2:-2] & k_ext[:, h - 1:-1] & k_ext[:, h:]
+                      & (j + 1 >= j_min))
+        m8 = m_ext[:, :n]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            d = np.log(m8 / mag) / 8.0
+            exit_flat = (((j >= 128) & (j % 32 == 0) & (j > b + 10))
+                         & (s0 == s1) & (s1 == s2) & (s2 != 0.0) & (m8 > mag) & (mag > 0.0)
+                         & (d < 0.05)
+                         & (d * mag / 8.0 < np.maximum(50.0 * ctl.term_tol,
+                                                       1e-10 * np.abs(run))))
+        exits = exit_small | exit_flat
+        for k in range(rows):
+            if results[k] is not None:
+                continue
+            stop = int(np.argmax(exits[k])) if exits[k].any() else n
+            if over[k, :stop + 1].any():
+                results[k] = OverflowError("math range error")
+                continue
+            if stop == n:
+                continue
+            i, jj = stop, j0 + stop
+            value, peak_k = float(run[k, i]), float(run_peak[k, i])
+            try:
+                if exit_small[k, i]:
+                    _cancellation_guard(value, peak_k, whats[k])
+                    m0, m1, m2 = (float(v) for v in m_ext[k, h + i - 2:h + i + 1])
+                    alternating = (s0[k, i] * s1[k, i] < 0 and s1[k, i] * s2[k, i] < 0
+                                   and m0 >= m1 >= m2)
+                    bound = m2 if alternating else m0 + m1 + m2
+                    # cancellation against the peak term caps the
+                    # achievable accuracy in doubles regardless of truncation
+                    results[k] = SeriesEval(value, bound + peak_k * 1e-15 + ctl.term_tol, jj + 1)
+                else:
+                    # midpoint-rule remainder for the one-signed tail is
+                    # |g'(X0)|/24 ~ d * t_j / 24 with d the local log-slope
+                    mj = float(mag[k, i])
+                    est_err = math.log(float(m8[k, i]) / mj) / 8.0 * mj / 8.0
+                    tail = tail_sum(k, jj)
+                    value += float(s2[k, i]) * tail
+                    _cancellation_guard(value, peak_k, whats[k])
+                    results[k] = SeriesEval(value, est_err + 1e-9 * tail + peak_k * 1e-15
+                                            + ctl.term_tol, jj + 1)
+            except SeriesConvergenceError as exc:
+                results[k] = exc
+        done = _first_result(results)
+        if done is not None:
+            return done
+        coef_before, total, peak = coef[-1], run[:, -1], run_peak[:, -1]
+        mags, signs, small = m_ext[:, -h:], s_ext[:, -h:], k_ext[:, -h:]
+        j0 += n
+        size = min(2 * size, _BLOCK_MAX)
+    for k in range(rows):
+        if results[k] is None:
+            results[k] = SeriesConvergenceError(
+                f"{whats[k]}: series did not meet term_tol={ctl.term_tol} "
+                f"within {ctl.max_terms} terms", partial=float(total[k]), terms=ctl.max_terms)
+    return _first_result(results)
 
 
 def _sum_integer_b(b_int: int,
-                   log_payload: Callable[[int], float],
-                   log_prefactor: float) -> SeriesEval:
-    """Finite binomial counterpart: sum_{j=0}^{b-1} C(b-1,j)(-1)^j payload(j)."""
-    total = 0.0
-    peak = 0.0
-    for j in range(b_int):
-        lp = log_payload(j)
-        if lp == -math.inf:
-            continue
-        lmag = log_prefactor + lp + math.log(math.comb(b_int - 1, j))
-        term = (1.0 if j % 2 == 0 else -1.0) * math.exp(lmag)
-        total += term
-        peak = max(peak, abs(term))
-    _cancellation_guard(total, peak, "integer-b sum")
-    return SeriesEval(total, peak * 1e-15, b_int)
+                   log_payload: Callable[[np.ndarray], np.ndarray],
+                   log_prefactor: float) -> list:
+    """Finite binomial counterpart: sum_{j=0}^{b-1} C(b-1,j)(-1)^j payload(j),
+    one ``SeriesEval`` per payload row."""
+    j = np.arange(b_int, dtype=float)
+    term = _scaled_terms(_coefficients(b_int, j, 1.0), log_prefactor,
+                         np.reshape(log_payload(j), (-1, b_int)))
+    if np.isinf(term).any():
+        raise OverflowError("math range error")
+    out = []
+    for total, peak in zip(np.cumsum(term, axis=1)[:, -1], np.abs(term).max(axis=1)):
+        _cancellation_guard(total, peak, "integer-b sum")
+        out.append(SeriesEval(float(total), float(peak) * 1e-15, b_int))
+    return out
 
 
 def cdf_series(dist: BGE, x: float, ctl: SeriesControl = DEFAULT_CONTROL,
@@ -239,15 +321,15 @@ def cdf_series(dist: BGE, x: float, ctl: SeriesControl = DEFAULT_CONTROL,
         return out if full_output else 0.0
     logu = log1mexp(dist.lam * x)
 
-    def payload(j: int) -> float:
-        return alpha * (a + j) * logu - math.log(a + j)
+    def payload(j: np.ndarray) -> np.ndarray:
+        return alpha * (a + j) * logu - np.log(a + j)
 
     b_int = ctl.integer_b(b)
     if b_int is not None:
-        res = _sum_integer_b(b_int, payload, -specfun.log_beta(a, b_int))
+        res = _sum_integer_b(b_int, payload, -specfun.log_beta(a, b_int))[0]
     else:
         pref = math.lgamma(a + b) - math.lgamma(a)
-        res = _sum_real_b(b, payload, ctl, pref, "cdf_series")
+        res = _sum_real_b(b, payload, ctl, pref, ("cdf_series",))[0]
     value = min(max(res.value, 0.0), 1.0)
     res = SeriesEval(value, res.error_bound, res.terms)
     return res if full_output else res.value
@@ -298,14 +380,14 @@ def pdf_mixture(dist: BGE, x: float, ctl: SeriesControl = DEFAULT_CONTROL,
     base = (math.log(alpha) + math.log(lam) - specfun.log_beta(a, b)
             - lam * x + (a * alpha - 1.0) * logu)
 
-    def payload(j: int) -> float:
+    def payload(j: np.ndarray) -> np.ndarray:
         return alpha * j * logu
 
     b_int = ctl.integer_b(b)
     if b_int is not None:
-        res = _sum_integer_b(b_int, payload, base)
+        res = _sum_integer_b(b_int, payload, base)[0]
     else:
-        res = _sum_real_b(b, payload, ctl, base + math.lgamma(b), "pdf_mixture")
+        res = _sum_real_b(b, payload, ctl, base + math.lgamma(b), ("pdf_mixture",))[0]
     value = max(res.value, 0.0)
     res = SeriesEval(value, res.error_bound, res.terms)
     return res if full_output else res.value
@@ -325,60 +407,77 @@ def mgf(dist: BGE, t: float, ctl: SeriesControl = DEFAULT_CONTROL,
         raise ValueError(f"mgf requires t < lam = {lam}, got t = {t}")
     p = 1.0 - t / lam
 
-    def payload(j: int) -> float:
-        return specfun.log_beta(p, alpha * (a + j))
+    def payload(j: np.ndarray) -> np.ndarray:
+        return specfun.log_beta_array(p, alpha * (a + j))
 
     b_int = ctl.integer_b(b)
     if b_int is not None:
         res = _sum_integer_b(b_int, payload,
-                             math.log(alpha) - specfun.log_beta(a, b_int))
+                             math.log(alpha) - specfun.log_beta(a, b_int))[0]
     else:
         pref = math.log(alpha) + math.lgamma(b) - specfun.log_beta(a, b)
-        res = _sum_real_b(b, payload, ctl, pref, "mgf")
+        res = _sum_real_b(b, payload, ctl, pref, ("mgf",))[0]
     return res if full_output else res.value
 
 
 # -- moments -------------------------------------------------------------------
 
 
-def ge_raw_moment(theta: float, r: int) -> float:
-    """r-th raw moment (r in 1..4) of a unit-rate GE(theta) component.
+#: psi(1) = -Euler's gamma and zeta(2), zeta(3), zeta(4): the polygamma
+#: values at 1 that every GE moment is taken against.
+_EULER_GAMMA = 0.5772156649015329
+_ZETA2 = math.pi ** 2 / 6.0
+_ZETA3 = 1.2020569031595942
+_ZETA4 = math.pi ** 4 / 90.0
 
-    Built from polygamma differences at theta+1 and 1; these are the
-    per-term quantities entering the four-moment series.
+
+def _ge_moment_rows(theta) -> np.ndarray:
+    """Raw moments r = 1..4 of unit-rate GE(theta) components, row r-1 for r.
+
+    Built from polygamma differences at theta+1 and 1, with
+    psi^(m)(x) = (-1)^(m+1) m! zeta(m+1, x) (Abramowitz & Stegun 6.4.10);
+    these are the per-term quantities entering the four-moment series.
     """
+    from scipy.special import psi, zeta
+
+    x = np.asarray(theta, dtype=float) + 1.0
+    c = psi(x) + _EULER_GAMMA              # psi(theta+1) - psi(1)
+    p = _ZETA2 - zeta(2.0, x)              # psi'(1) - psi'(theta+1)
+    q = 2.0 * (_ZETA3 - zeta(3.0, x))      # psi''(theta+1) - psi''(1)
+    rr = 6.0 * (_ZETA4 - zeta(4.0, x))     # psi'''(1) - psi'''(theta+1)
+    return np.array((c, c * c + p, c ** 3 + 3.0 * p * c + q,
+                     c ** 4 + 6.0 * p * c * c + 3.0 * p * p + 4.0 * q * c + rr))
+
+
+def ge_raw_moment(theta, r: int):
+    """r-th raw moment (r in 1..4) of a unit-rate GE(theta) component,
+    elementwise over an array of theta."""
     if r not in (1, 2, 3, 4):
         raise ValueError(f"ge_raw_moment supports r in 1..4, got {r}")
-    c = specfun.digamma(theta + 1.0) - specfun.digamma(1.0)
-    if r == 1:
-        return c
-    p = specfun.trigamma(1.0) - specfun.trigamma(theta + 1.0)
-    if r == 2:
-        return c * c + p
-    q = specfun.tetragamma(theta + 1.0) - specfun.tetragamma(1.0)
-    if r == 3:
-        return c ** 3 + 3.0 * p * c + q
-    rr = specfun.polygamma(1.0, 3) - specfun.polygamma(theta + 1.0, 3)
-    return c ** 4 + 6.0 * p * c * c + 3.0 * p * p + 4.0 * q * c + rr
+    return _ge_moment_rows(theta)[r - 1]
+
+
+def _moment_sums(dist: BGE, orders: tuple, ctl: SeriesControl) -> list:
+    """Unscaled raw-moment series for each r in ``orders``, summed in one
+    pass with the GE moments of all four orders computed once per block."""
+    a, b, alpha = dist.a, dist.b, dist.alpha
+    rows = [r - 1 for r in orders]
+
+    def payload(j: np.ndarray) -> np.ndarray:
+        return (np.log(_ge_moment_rows(alpha * (a + j))) - np.log(a + j))[rows]
+
+    b_int = ctl.integer_b(b)
+    if b_int is not None:
+        return _sum_integer_b(b_int, payload, -specfun.log_beta(a, b_int))
+    pref = math.lgamma(a + b) - math.lgamma(a)
+    return _sum_real_b(b, payload, ctl, pref, tuple(f"raw_moment(r={r})" for r in orders))
 
 
 def raw_moment(dist: BGE, r: int, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """r-th raw moment, r in 1..4, via the weighted-GE-moment series."""
     if r not in (1, 2, 3, 4):
         raise ValueError(f"raw_moment supports r in 1..4, got {r}")
-    a, b, lam, alpha = dist.a, dist.b, dist.lam, dist.alpha
-
-    def payload(j: int) -> float:
-        m = ge_raw_moment(alpha * (a + j), r)
-        return math.log(m) - math.log(a + j)
-
-    b_int = ctl.integer_b(b)
-    if b_int is not None:
-        res = _sum_integer_b(b_int, payload, -specfun.log_beta(a, b_int))
-    else:
-        pref = math.lgamma(a + b) - math.lgamma(a)
-        res = _sum_real_b(b, payload, ctl, pref, f"raw_moment(r={r})")
-    return res.value / lam ** r
+    return _moment_sums(dist, (r,), ctl)[0].value / dist.lam ** r
 
 
 @dataclass(frozen=True)
@@ -395,10 +494,10 @@ class MomentSet:
 
 
 def moment_set(dist: BGE, ctl: SeriesControl = DEFAULT_CONTROL) -> MomentSet:
-    mu1 = raw_moment(dist, 1, ctl)
-    mu2 = raw_moment(dist, 2, ctl)
-    mu3 = raw_moment(dist, 3, ctl)
-    mu4 = raw_moment(dist, 4, ctl)
+    """The first four raw moments from one pass over the series terms;
+    each equals ``raw_moment(dist, r, ctl)``."""
+    mu1, mu2, mu3, mu4 = (res.value / dist.lam ** r for r, res in
+                          zip((1, 2, 3, 4), _moment_sums(dist, (1, 2, 3, 4), ctl)))
     var = mu2 - mu1 * mu1
     if var <= 0.0:
         raise SeriesConvergenceError(

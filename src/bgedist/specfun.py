@@ -1,18 +1,22 @@
-"""Scalar special-function kernel.
+"""Special-function kernel.
 
 Everything the rest of the package needs from classical analysis lives
 here: log-beta, the regularized incomplete beta ratio and its inverse,
 polygamma functions, and the regularized upper incomplete gamma (for
 chi-square tail probabilities).  All functions are pure, deterministic
-and thread-safe; none touch global state.
+and thread-safe; none touch global state.  All are scalar except
+``log_beta_array``, the elementwise log-beta of the series payloads.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
     "log_beta",
+    "log_beta_array",
     "lgamma_diff",
     "inc_beta_ratio",
     "inc_beta_inverse",
@@ -73,6 +77,24 @@ def log_beta(a: float, b: float) -> float:
     if big < 15.0:
         return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     return math.lgamma(small) - lgamma_diff(big, small)
+
+
+def log_beta_array(a, b) -> np.ndarray:
+    """``log_beta`` elementwise over broadcast arrays, with the same
+    Stirling difference where the larger argument is at least 15."""
+    from scipy.special import gammaln
+
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if not (np.all(a > 0.0) and np.all(b > 0.0)):
+        raise ValueError("log_beta_array requires positive arguments")
+    small, big = np.minimum(a, b), np.maximum(a, b)
+    direct = gammaln(a) + gammaln(b) - gammaln(a + b)
+    y = np.maximum(big, 15.0)  # the Stirling form is only taken for big >= 15
+    with np.errstate(over="ignore"):  # 1/(y*y) is 0 once y*y overflows
+        stirling = gammaln(small) - ((y - 0.5) * np.log1p(small / y)
+                                     + small * np.log(y + small) - small
+                                     + _stirling_tail(y + small) - _stirling_tail(y))
+    return np.where(big < 15.0, direct, stirling)
 
 
 def _betacf(a: float, b: float, y: float) -> float:

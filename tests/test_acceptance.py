@@ -78,17 +78,26 @@ class TestGlassFibreReproduction:
                     f"({want['a']:.4f}, {want['b']:.4f}, {want['lam']:.6f}, "
                     f"{want['loglik']:.6f}), gamma limit {want['gamma_sup']:.6f}")
 
-    def test_bge_fit(self, glass_fits):
+    def test_bge_fit(self, glass_fits, bge_glass_fibre_oracle):
+        # The published window holds only while the box edge e^4.5 stays
+        # near the published, early-stopped b = 93.47; the oracle's
+        # b = e^4.5 profile maximum pins the bounded fit itself.
         fit, dt = glass_fits["bge"], glass_fits["bge_time"]
-        p = fit.params
+        p, want = fit.params, bge_glass_fibre_oracle
         ll_ok = fit.loglik >= -15.6495 and abs(fit.loglik - -15.5995) <= 0.05
         ref = {"a": 0.4125, "b": 93.4655, "lam": 0.92271, "alpha": 22.6124}
         par_ok = all(abs(getattr(p, k) - v) <= 0.10 * v for k, v in ref.items())
-        ok = ll_ok and dt < 30.0 and par_ok
-        _record("glass-fibre BGE fit",
+        oracle_ok = (abs(fit.loglik - want["loglik"]) <= 1e-6
+                     and all(abs(getattr(p, k) - want[k]) <= 1e-4 * want[k]
+                             for k in ("a", "lam", "alpha"))
+                     and fit.hit_bounds == ("b",))
+        ok = ll_ok and dt < 30.0 and par_ok and oracle_ok
+        _record("glass-fibre BGE fit (published window, b = e^4.5 profile maximum)",
                 ok, f"ll={fit.loglik:.4f} params=({p.a:.4f}, {p.b:.3f}, "
                     f"{p.lam:.4f}, {p.alpha:.3f}) within 10% of published, t={dt:.2f}s"
-                    + ("" if par_ok else " [parameter drift]"))
+                    + ("" if par_ok else " [parameter drift]")
+                    + f"; vs oracle ({want['a']:.6f}, {want['lam']:.6f}, "
+                      f"{want['alpha']:.5f}, {want['loglik']:.10f}) hit_bounds={fit.hit_bounds}")
 
     def test_lr_ge_vs_bge(self, glass_fits):
         lr = lr_from_fits(glass_fits["ge"], glass_fits["bge"])

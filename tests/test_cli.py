@@ -72,6 +72,15 @@ class TestInputParsing:
         assert run_cli("curve", "--params", "1,1,1", "--grid", "0:1:9")[0] == EXIT_USAGE
         assert run_cli("curve", "--params", "1,1,1,1", "--grid", "2:1:9")[0] == EXIT_USAGE
 
+    def test_flags_of_other_subcommands_are_refused(self, glass_file):
+        # each subcommand parses only its own flags
+        assert run_cli("fit", "--input", glass_file, "--sweep", "a")[0] == EXIT_USAGE
+        assert run_cli("sample", "--params", "1,1,1,1", "--n", "5", "--seed", "1",
+                       "--format", "structured")[0] == EXIT_USAGE
+        assert run_cli("curve", "--params", "1,1,1,1", "--model", "ge")[0] == EXIT_USAGE
+        assert run_cli("compare", "--input", glass_file, "--grid", "0.1:1:5")[0] == EXIT_USAGE
+        assert run_cli("reproduce", "--seed", "1")[0] == EXIT_USAGE
+
 
 class TestFitCommand:
     def test_exp_closed_form(self, tmp_path):

@@ -1,0 +1,19 @@
+"""Importing the package stays cheap: scipy loads only when used."""
+
+import os
+import subprocess
+import sys
+
+from conftest import REPO_ROOT
+
+
+def test_import_loads_no_scipy_submodules():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, bgedist; "
+            "print(' '.join(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.special') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == ""

@@ -235,11 +235,18 @@ class TestFit:
         assert fit.hit_bounds == ("b",) and not fit.converged
         assert -24.1270 + 0.1 < fit.loglik < want["gamma_sup"]
 
-    def test_bge_glass_fibre_loglik_window(self, glass_fibre):
+    def test_bge_glass_fibre_loglik_window(self, glass_fibre, bge_glass_fibre_oracle):
+        # the published window, and the oracle's b = e^4.5 profile
+        # maximum, which does not lean on the box edge lying near the
+        # published, early-stopped b = 93.47
+        want = bge_glass_fibre_oracle
         fit = fit_mle(glass_fibre, "bge")
         assert fit.loglik >= -15.6495
         assert fit.loglik == pytest.approx(-15.5995, abs=0.05)
         assert fit.hit_bounds == ("b",) and not fit.converged
+        assert fit.loglik == pytest.approx(want["loglik"], abs=1e-6)
+        for name in ("a", "lam", "alpha"):
+            assert getattr(fit.params, name) == pytest.approx(want[name], rel=1e-4)
 
     def test_nesting_chain_likelihood_monotone(self, glass_fibre):
         lls = {m: fit_mle(glass_fibre, m, compute_covariance=False).loglik

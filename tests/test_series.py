@@ -2,16 +2,17 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from bgedist import BGE
 from bgedist import specfun as sf
-from bgedist.series import (SeriesControl, SeriesConvergenceError, cdf_series,
-                            closed_form_cdf_integer, ge_raw_moment, mgf,
-                            moment_set, pdf_mixture, raw_moment,
-                            shannon_entropy, skewness_kurtosis)
+from bgedist.series import (DEFAULT_CONTROL, SeriesControl, SeriesConvergenceError,
+                            _moment_sums, cdf_series, closed_form_cdf_integer,
+                            ge_raw_moment, mgf, moment_set, pdf_mixture,
+                            raw_moment, shannon_entropy, skewness_kurtosis)
 
 
 def quad_moment(dist, r):
@@ -23,6 +24,22 @@ def quad_moment(dist, r):
                 0.0, 1.0, limit=400)[0]
     right = quad(lambda x: x ** r * dist.pdf(x), q, np.inf, limit=400)[0]
     return left + right
+
+
+def mp_moment(params, r):
+    """Independent oracle: E[X^r] by mpmath quadrature at 20 digits over
+    the Beta(a, b) variate V = 1 - e^(-s), where
+    E[X^r] = int_0^inf x(s)^r (1 - e^(-s))^(a-1) e^(-b s) ds / B(a, b)
+    and x(s) = -log(1 - V^(1/alpha)) / lam."""
+    with mp.workdps(20):
+        a, b, lam, alpha = map(mp.mpf, params)
+
+        def integrand(s):
+            logv = mp.log1p(-mp.exp(-s)) if s > 1 else mp.log(-mp.expm1(-s))
+            x = -mp.log(-mp.expm1(logv / alpha)) / lam
+            return x ** r * mp.exp((a - 1) * logv - b * s)
+
+        return float(mp.quad(integrand, [0, 1, mp.inf]) / mp.beta(a, b))
 
 
 class TestCdfSeries:
@@ -201,6 +218,21 @@ class TestMoments:
         for r in (1, 2, 3, 4):
             assert raw_moment(d, r) == pytest.approx(quad_moment(d, r), rel=1e-6)
 
+    @pytest.mark.parametrize("params", [(2.0, 0.3, 1.0, 1.5), (1.5, 0.05, 1.0, 2.0),
+                                        (3.0, 0.12, 0.5, 4.0), (0.5, 0.7, 2.0, 0.8)])
+    def test_flat_tail_exit_vs_mpmath(self, params):
+        # small b: every order leaves its series by the one-signed flat-tail
+        # exit (at j + 1 terms, j >= 128 a multiple of 32), so its value
+        # includes the tail integral
+        d = BGE(*params)
+        evals = _moment_sums(d, (1, 2, 3, 4), DEFAULT_CONTROL)
+        assert all(ev.terms > 128 and (ev.terms - 1) % 32 == 0 for ev in evals)
+        ms = moment_set(d)
+        for r in (1, 2, 3, 4):
+            mu = getattr(ms, f"mu{r}")
+            assert mu == raw_moment(d, r)
+            assert mu == pytest.approx(mp_moment(params, r), rel=1e-8)
+
     def test_exponential_skew_kurt_exact(self):
         skew, kurt = skewness_kurtosis(BGE.exponential(1.7))
         assert skew == pytest.approx(2.0, abs=1e-9)
@@ -224,6 +256,21 @@ class TestMoments:
         assert printed == pytest.approx(18.0, abs=1e-9)
         assert ge_raw_moment(theta, 4) == pytest.approx(24.0, abs=1e-9)
         assert quad_moment(BGE.exponential(1.0), 4) == pytest.approx(24.0, rel=1e-7)
+
+    def test_ge_raw_moment_array_vs_mpmath(self):
+        # E[Y^r] of unit-rate GE(theta) from its cumulants
+        # k_m = (-1)^m (psi^(m-1)(1) - psi^(m-1)(theta+1)), at 30 digits
+        theta = np.geomspace(1e-4, 1e4, 17)
+        want = []
+        with mp.workdps(30):
+            for t in theta:
+                k1, k2, k3, k4 = [(-1) ** m * (mp.polygamma(m - 1, 1) - mp.polygamma(m - 1, t + 1))
+                                  for m in (1, 2, 3, 4)]
+                want.append([float(v) for v in (
+                    k1, k2 + k1 ** 2, k3 + 3 * k2 * k1 + k1 ** 3,
+                    k4 + 4 * k3 * k1 + 3 * k2 ** 2 + 6 * k2 * k1 ** 2 + k1 ** 4)])
+        for r in (1, 2, 3, 4):
+            assert ge_raw_moment(theta, r) == pytest.approx([w[r - 1] for w in want], rel=1e-11)
 
     def test_third_moment_sign_convention(self):
         # the extra sign on the third-moment coefficients is correct:

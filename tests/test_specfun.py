@@ -42,6 +42,17 @@ class TestLogBeta:
         with pytest.raises(ValueError):
             sf.log_beta(1.0, -2.0)
 
+    def test_array_form_vs_mpmath(self):
+        # both branches of the array form, on either side of the Stirling
+        # switch at 15, with the accuracy of the scalar form
+        a = np.array([1e-3, 0.37, 5.5, 14.9, 15.1, 420.0, 1e6])
+        for b in (1e-3, 2.25, 9000.0):
+            got = sf.log_beta_array(a, b)
+            want = [float(mp.log(mp.beta(x, b))) for x in a]
+            assert got == pytest.approx(want, rel=1e-13)
+        with pytest.raises(ValueError):
+            sf.log_beta_array(a, 0.0)
+
 
 class TestIncBetaRatio:
     def test_uniform_is_identity(self):
