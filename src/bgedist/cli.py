@@ -17,7 +17,7 @@ import numpy as np
 
 from .datasets import GLASS_FIBRE_REFERENCE, glass_fibre_sample
 from .distribution import BGE, Sample
-from .inference import (MODEL_FREE_PARAMS, FitResult, confidence_intervals,
+from .inference import (MODEL_FREE_PARAMS, FitResult, _fmt, confidence_intervals,
                         fit_mle, fit_result_kv, lr_from_fits, lr_result_kv)
 from .series import skewness_kurtosis
 
@@ -40,10 +40,6 @@ class InputError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with code 2
         raise UsageError(message)
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.10g}"
 
 
 def read_positive_column(path: str) -> np.ndarray:

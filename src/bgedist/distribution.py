@@ -22,14 +22,25 @@ from . import specfun
 __all__ = ["BGE", "Sample", "log1mexp"]
 
 
+_LOG2 = 0.6931471805599453
+
+
 def log1mexp(z):
     """log(1 - exp(-z)) for z > 0, stable at both ends.
 
-    Accepts scalars or arrays.  Uses log(-expm1(-z)) below log 2 and
-    log1p(-exp(-z)) above, the classical accuracy switch.
+    Accepts scalars or arrays; a Python or numpy float scalar stays in
+    the ``math`` module.  Uses log(-expm1(-z)) below log 2 and
+    log1p(-exp(-z)) above, the classical accuracy switch.  Outside the
+    domain the result is -inf at 0 and nan below, as for arrays.
     """
+    if isinstance(z, (int, float)):
+        if z > 0.0:
+            if z < _LOG2:
+                return math.log(-math.expm1(-z))
+            return math.log1p(-math.exp(-z))
+        return -math.inf if z == 0.0 else math.nan
     z = np.asarray(z, dtype=float)
-    small = z < 0.6931471805599453
+    small = z < _LOG2
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(small, np.log(-np.expm1(-z)), np.log1p(-np.exp(-z)))
     if out.ndim == 0:
@@ -138,13 +149,17 @@ class BGE:
         """log u with u = 1 - exp(-lam*x), kept strictly negative even
         when u rounds to 1 so downstream powers of 1 - u^alpha stay
         finite."""
+        if isinstance(x, (int, float)):
+            return min(log1mexp(self.lam * x), -1e-300)
         out = log1mexp(self.lam * np.asarray(x, dtype=float))
         return np.minimum(out, -1e-300)
 
     def logpdf(self, x) -> float:
         """Log density at x > 0 (vectorized)."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
+        scalar = isinstance(x, (int, float))
+        if not scalar:
+            x = np.asarray(x, dtype=float)
+        if x <= 0.0 if scalar else np.any(x <= 0.0):
             raise ValueError("logpdf requires x > 0")
         logu = self._log_u(x)
         log1mua = log1mexp(-self.alpha * logu)
@@ -152,7 +167,7 @@ class BGE:
                - self.lam * x
                + (self.alpha * self.a - 1.0) * logu
                + (self.b - 1.0) * log1mua)
-        if out.ndim == 0:
+        if not scalar and out.ndim == 0:
             return float(out)
         return out
 
@@ -195,7 +210,7 @@ class BGE:
         # 1 - u^alpha, evaluated without cancellation; the unclamped
         # log u is wanted here so that survival saturates to exactly 0
         # once e^(-lam x) underflows
-        one_minus_galpha = -math.expm1(self.alpha * float(log1mexp(self.lam * x)))
+        one_minus_galpha = -math.expm1(self.alpha * log1mexp(self.lam * x))
         one_minus_galpha = min(max(one_minus_galpha, 0.0), 1.0)
         return specfun.inc_beta_ratio(one_minus_galpha, self.b, self.a)
 
@@ -217,6 +232,8 @@ class BGE:
         if not (0.0 < p < 1.0):
             raise ValueError(f"quantile requires 0 < p < 1, got {p}")
         q = specfun.inc_beta_inverse(p, self.a, self.b)
+        if q == 0.0:
+            return 0.0  # Q underflowed: log Q = -inf, so x = 0
         # -log(1 - q^(1/alpha)) via the same stable switch as log1mexp
         logq = math.log(q)
         return -log1mexp(-logq / self.alpha) / self.lam

@@ -6,6 +6,16 @@ polygamma functions, and the regularized upper incomplete gamma (for
 chi-square tail probabilities).  All functions are pure, deterministic
 and thread-safe; none touch global state.  All are scalar except
 ``log_beta_array``, the elementwise log-beta of the series payloads.
+
+``inc_beta_ratio``, ``inc_beta_inverse``, ``reg_gamma_upper`` and
+``chi2_sf`` are thin wrappers over ``scipy.special.betainc``,
+``betaincinv`` and ``gammaincc``: they add the domain checks and the
+exact endpoints, and import scipy on first call so that importing the
+package stays cheap.  ``log_beta`` and the ``polygamma`` family stay
+hand-written.  Against mpmath, ``scipy.special.betaln`` loses about
+1e-10 relative at b ~ 2e4 where ``log_beta`` holds 3e-14, and the
+maximum-likelihood fits are tuned on the present ``digamma`` and
+``trigamma``: swapping them moves the L-BFGS-B iteration counts.
 """
 
 from __future__ import annotations
@@ -27,11 +37,6 @@ __all__ = [
     "reg_gamma_upper",
     "chi2_sf",
 ]
-
-_MAX_CF_ITER = 2000
-_CF_EPS = 1e-16
-_FPMIN = 1e-300
-
 
 _STIRLING = (1.0 / 12, -1.0 / 360, 1.0 / 1260, -1.0 / 1680, 1.0 / 1188, -691.0 / 360360)
 
@@ -97,43 +102,6 @@ def log_beta_array(a, b) -> np.ndarray:
     return np.where(big < 15.0, direct, stirling)
 
 
-def _betacf(a: float, b: float, y: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * y / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_CF_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * y / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * y / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise RuntimeError(f"incomplete beta continued fraction failed for a={a}, b={b}, y={y}")
-
-
 def inc_beta_ratio(y: float, a: float, b: float) -> float:
     """Regularized incomplete beta ratio I_y(a, b).
 
@@ -149,6 +117,8 @@ def inc_beta_ratio(y: float, a: float, b: float) -> float:
     float
         I_y(a, b), the cdf of a Beta(a, b) variate at y.
     """
+    from scipy.special import betainc
+
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"inc_beta_ratio requires positive shapes, got ({a}, {b})")
     if not (0.0 <= y <= 1.0):
@@ -157,20 +127,14 @@ def inc_beta_ratio(y: float, a: float, b: float) -> float:
         return 0.0
     if y == 1.0:
         return 1.0
-    lfront = a * math.log(y) + b * math.log1p(-y) - log_beta(a, b)
-    # symmetry switch keeps the continued fraction in its fast region
-    if y < (a + 1.0) / (a + b + 2.0):
-        return math.exp(lfront) * _betacf(a, b, y) / a
-    return 1.0 - math.exp(lfront) * _betacf(b, a, 1.0 - y) / b
+    return float(betainc(a, b, y))
 
 
 def inc_beta_inverse(p: float, a: float, b: float) -> float:
-    """Inverse of ``inc_beta_ratio`` in its first argument.
+    """Inverse of ``inc_beta_ratio`` in its first argument: the y with
+    I_y(a, b) = p.  Returns 0.0 where that y underflows."""
+    from scipy.special import betaincinv
 
-    Solves I_y(a, b) = p for y by Newton iteration on a maintained
-    bracket, falling back to bisection whenever a Newton step leaves
-    the bracket.  Accurate to ~1e-14 in p-space.
-    """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"inc_beta_inverse requires positive shapes, got ({a}, {b})")
     if not (0.0 <= p <= 1.0):
@@ -179,48 +143,7 @@ def inc_beta_inverse(p: float, a: float, b: float) -> float:
         return 0.0
     if p == 1.0:
         return 1.0
-
-    # initial guess: normal approximation, else beta-mean fallback
-    lo, hi = 0.0, 1.0
-    try:
-        t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
-        x = t - (2.30753 + 0.27061 * t) / (1.0 + (0.99229 + 0.04481 * t) * t)
-        if p < 0.5:
-            x = -x
-        al = (x * x - 3.0) / 6.0
-        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
-        w = (x * math.sqrt(al + h) / h
-             - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0))
-             * (al + 5.0 / 6.0 - 2.0 / (3.0 * h)))
-        y = a / (a + b * math.exp(2.0 * w))
-    except (ValueError, ZeroDivisionError, OverflowError):
-        y = a / (a + b)
-    if not (0.0 < y < 1.0) or not math.isfinite(y):
-        y = a / (a + b)
-
-    lbeta = log_beta(a, b)
-    scale = min(p, 1.0 - p)
-    for _ in range(200):
-        f = inc_beta_ratio(y, a, b) - p
-        if f > 0.0:
-            hi = y
-        else:
-            lo = y
-        if f == 0.0 or abs(f) <= 1e-15 * scale or hi - lo <= 1e-16 * max(lo, 1e-300):
-            break
-        # density may underflow far in the tails; bisect there
-        try:
-            logpdf = (a - 1.0) * math.log(y) + (b - 1.0) * math.log1p(-y) - lbeta
-            step = f * math.exp(-logpdf)
-        except (ValueError, OverflowError):
-            step = math.nan
-        ynew = y - step if math.isfinite(step) else math.nan
-        if not (lo < ynew < hi) or not math.isfinite(ynew):
-            ynew = 0.5 * (lo + hi)
-        if ynew == y:
-            break
-        y = ynew
-    return y
+    return float(betaincinv(a, b, p))
 
 
 # Bernoulli-number coefficients B_2k / (2k) for the digamma tail and
@@ -295,54 +218,17 @@ def tetragamma(x: float) -> float:
     return polygamma(x, 2)
 
 
-def _gamma_series(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) by power series (x < s+1)."""
-    ap = s
-    summ = 1.0 / s
-    delta = summ
-    for _ in range(_MAX_CF_ITER):
-        ap += 1.0
-        delta *= x / ap
-        summ += delta
-        if abs(delta) < abs(summ) * _CF_EPS:
-            return summ * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise RuntimeError(f"incomplete gamma series failed for s={s}, x={x}")
-
-
-def _gamma_contfrac(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) by continued fraction (x >= s+1)."""
-    b = x + 1.0 - s
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_CF_ITER + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise RuntimeError(f"incomplete gamma continued fraction failed for s={s}, x={x}")
-
-
 def reg_gamma_upper(s: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x)/Gamma(s)."""
+    from scipy.special import gammaincc
+
     if not (s > 0.0):
         raise ValueError(f"reg_gamma_upper requires s > 0, got {s}")
     if x < 0.0:
         raise ValueError(f"reg_gamma_upper requires x >= 0, got {x}")
     if x == 0.0:
         return 1.0
-    if x < s + 1.0:
-        return 1.0 - _gamma_series(s, x)
-    return _gamma_contfrac(s, x)
+    return float(gammaincc(s, x))
 
 
 def chi2_sf(x: float, dof: int) -> float:

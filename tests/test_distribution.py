@@ -5,9 +5,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from bgedist import BGE, Sample
+from bgedist.distribution import log1mexp
 
 mp.mp.dps = 40
 
@@ -244,6 +246,13 @@ class TestQuantile:
             with pytest.raises(ValueError):
                 d.quantile(p)
 
+    def test_underflowed_beta_quantile_is_zero(self):
+        # the Beta(a, b) quantile of 1e-9 underflows to 0 at this small-a
+        # point; x = 0 follows from log Q = -inf instead of a math error
+        d = BGE(0.029272590475917508, 2.057727328657118, 0.6196796010661249,
+                0.06049645040918779)
+        assert d.quantile(1e-9) == 0.0
+
 
 class TestSampling:
     def test_rejects_zero_draws(self):
@@ -273,3 +282,95 @@ class TestSampling:
         mu1 = raw_moment(d, 1)
         sd = math.sqrt(raw_moment(d, 2) - mu1 ** 2)
         assert abs(draws.mean() - mu1) < 4.0 * sd / math.sqrt(draws.size)
+
+
+def _ulps(got, want):
+    """|got - want| in units of the spacing at want; 0 when equal."""
+    if got == want or (math.isnan(got) and math.isnan(want)):
+        return 0.0
+    return abs(got - want) / np.spacing(abs(want))
+
+
+#: lam*x grid: both ends of the domain, the log 2 switch, and z = 800,
+#: where exp(-z) underflows and log u is clamped to -1e-300.
+_LOG2 = math.log(2.0)
+Z_GRID = sorted(set([1e-300, 1e-200, 1e-20, 1e-8, 800.0]
+                    + [_LOG2 + k * 1e-15 for k in range(-3, 4)]
+                    + list(map(float, np.geomspace(1e-300, 800.0, 400)))))
+
+
+class TestScalarArrayAgreement:
+    """Float arguments take a math-module path, arrays the numpy one.
+
+    numpy's exp, expm1 and log1p round differently from the C library's
+    on a few percent of arguments, so log1mexp may differ by 1 ulp.
+    logpdf adds that difference, scaled by its coefficient, to the other
+    terms; where the terms cancel the sum can move by many of its own
+    ulps, so logpdf is held to 2 ulps of its largest term.
+    """
+
+    @pytest.fixture(scope="class")
+    def dists(self):
+        rng = np.random.default_rng(31)
+        box = [BGE(*np.exp(rng.uniform(-4.5, 4.5, size=4))) for _ in range(12)]
+        return box + [BGE(2.0, 1.5, 1.0, 2.0), BGE(0.02, 0.02, 1.0, 0.5),
+                      BGE(6.981477861205264, 36.965048860238646, 0.24067299161721956,
+                          0.09541622946881864)]
+
+    def test_log1mexp(self):
+        for z in Z_GRID:
+            assert _ulps(log1mexp(z), log1mexp(np.array([z]))[0]) <= 1.0, z
+        for z in (0.0, -1.0, math.inf, math.nan):
+            want = log1mexp(np.array([z]))[0]
+            got = log1mexp(z)
+            assert got == want or (math.isnan(got) and math.isnan(want)), z
+
+    def test_log_u_and_clamp(self, dists):
+        for d in dists:
+            for z in Z_GRID:
+                x = z / d.lam
+                assert _ulps(d._log_u(x), d._log_u(np.array([x]))[0]) <= 1.0, (d, x)
+            assert d._log_u(800.0 / d.lam) == -1e-300
+
+    def test_logpdf_and_pdf(self, dists):
+        for d in dists:
+            for z in Z_GRID:
+                x = z / d.lam
+                logu = d._log_u(x)
+                terms = (math.log(d.alpha * d.lam) - d.log_beta_ab, d.lam * x,
+                         (d.alpha * d.a - 1.0) * logu,
+                         (d.b - 1.0) * log1mexp(-d.alpha * logu))
+                tol = 2.0 * np.spacing(max(abs(t) for t in terms))
+                got, want = d.logpdf(x), d.logpdf(np.array([x]))[0]
+                assert abs(got - want) <= tol, (d, x)
+                want_pdf = np.exp(want)
+                if 0.0 < want_pdf < math.inf:
+                    assert abs(d.pdf(x) - want_pdf) <= (tol + 4e-16) * want_pdf, (d, x)
+                else:
+                    assert d.pdf(x) == want_pdf, (d, x)
+
+
+#: Log-uniform over the documented box [e^-4.5, e^4.5]^4.
+_param = st.floats(-4.5, 4.5).map(math.exp)
+_params = st.tuples(_param, _param, _param, _param)
+
+
+class TestProperties:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_params, st.floats(-25.0, 6.5), st.floats(0.1, 12.0))
+    def test_cdf_in_unit_interval_and_nondecreasing(self, params, log_z0, span):
+        d = BGE(*params)
+        xs = np.exp(np.linspace(log_z0, log_z0 + span, 40)) / d.lam
+        cdf = [d.cdf(float(x)) for x in xs]
+        assert all(0.0 <= c <= 1.0 for c in cdf)
+        for lo, hi in zip(cdf, cdf[1:]):
+            assert lo <= hi + 2.0 * np.spacing(hi), (d, lo, hi)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_params, st.floats(-25.0, 6.5))
+    def test_hazard_is_pdf_over_survival(self, params, log_z):
+        d = BGE(*params)
+        x = math.exp(log_z) / d.lam
+        s, f = d.survival(x), d.pdf(x)
+        if s > 1e-300 and math.isfinite(f):
+            assert d.hazard(x) == pytest.approx(f / s, rel=1e-12)
