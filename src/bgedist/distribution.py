@@ -23,6 +23,7 @@ __all__ = ["BGE", "Sample", "log1mexp"]
 
 
 _LOG2 = 0.6931471805599453
+_LOGU_CLAMP = -1e-300  # keeps log u strictly negative when u rounds to 1
 
 
 def log1mexp(z):
@@ -150,9 +151,9 @@ class BGE:
         when u rounds to 1 so downstream powers of 1 - u^alpha stay
         finite."""
         if isinstance(x, (int, float)):
-            return min(log1mexp(self.lam * x), -1e-300)
+            return min(log1mexp(self.lam * x), _LOGU_CLAMP)
         out = log1mexp(self.lam * np.asarray(x, dtype=float))
-        return np.minimum(out, -1e-300)
+        return np.minimum(out, _LOGU_CLAMP)
 
     def logpdf(self, x) -> float:
         """Log density at x > 0 (vectorized)."""

@@ -7,13 +7,16 @@ default: on some datasets the likelihood increases without bound along
 a b -> infinity ridge on which the family degenerates to a generalized
 gamma limit, so an unbounded "MLE" does not exist.  Fits that terminate
 on the box are reported with ``converged=False`` and the active bounds
-listed in ``hit_bounds``.  ``scipy.optimize`` and ``scipy.integrate``
-are imported by the functions that use them, so importing the package
-does not load them.
+listed in ``hit_bounds``.  The expected information takes its beta
+expectations from a tanh-sinh rule on cached nodes, so ``inference``
+never loads ``scipy.integrate``; ``scipy.optimize`` is imported by
+``fit_mle`` on its first call, so importing the package does not load
+it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -21,7 +24,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import specfun
-from .distribution import BGE, Sample
+from .distribution import _LOGU_CLAMP, BGE, Sample, log1mexp
 
 __all__ = [
     "PARAM_NAMES",
@@ -61,7 +64,6 @@ MODEL_FREE_PARAMS = {
 DEFAULT_LOG_BOUND = 4.5
 
 _GRAD_TOL = 1e-6
-_LOGU_CLAMP = -1e-300  # keeps log u strictly negative when u rounds to 1
 
 
 class NonIntegrableError(ValueError):
@@ -78,38 +80,39 @@ def _pieces(theta: np.ndarray, y: np.ndarray):
     """Shared stable intermediates for likelihood and score."""
     a, b, lam, alpha = theta
     z = lam * y
-    small = z < 0.6931471805599453
-    with np.errstate(divide="ignore"):
-        logu = np.where(small, np.log(-np.expm1(-z)), np.log1p(-np.exp(-z)))
-    logu = np.minimum(logu, _LOGU_CLAMP)
-    s = -alpha * logu
-    small2 = s < 0.6931471805599453
-    with np.errstate(divide="ignore"):
-        log1mua = np.where(small2, np.log(-np.expm1(-s)), np.log1p(-np.exp(-s)))
-    return z, logu, log1mua
+    logu = np.minimum(log1mexp(z), _LOGU_CLAMP)
+    return z, logu, log1mexp(-alpha * logu)
 
 
-def _loglik(theta: np.ndarray, y: np.ndarray) -> float:
+def _loglik(theta: np.ndarray, y: np.ndarray, pieces=None) -> float:
     a, b, lam, alpha = theta
-    z, logu, log1mua = _pieces(theta, y)
+    z, logu, log1mua = _pieces(theta, y) if pieces is None else pieces
     return float(np.sum(math.log(alpha) + math.log(lam) - specfun.log_beta(a, b)
                         - z + (alpha * a - 1.0) * logu + (b - 1.0) * log1mua))
 
 
-def _score_contrib(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _score_contrib(theta: np.ndarray, y: np.ndarray, pieces=None) -> np.ndarray:
     """Per-observation score vectors, shape (n, 4)."""
     a, b, lam, alpha = theta
-    z, logu, log1mua = _pieces(theta, y)
+    z, logu, log1mua = _pieces(theta, y) if pieces is None else pieces
     psi_a = specfun.digamma(a)
     psi_b = specfun.digamma(b)
     psi_ab = specfun.digamma(a + b)
-    w1 = y * np.exp(-z - logu)                  # y e^{-lam y} / u
+    arg = -z - logu
+    # y e^{-lam y} / u; e^arg overflows once lam y is below about 1e-308
+    w1 = y * np.exp(arg) if arg.max() < 709.0 else np.exp(np.log(y) + arg)
     ratio = np.exp(alpha * logu - log1mua)      # u^alpha / (1 - u^alpha)
     d_a = alpha * logu - (psi_a - psi_ab)
     d_b = log1mua - (psi_b - psi_ab)
     d_lam = 1.0 / lam - y + (alpha * a - 1.0) * w1 - alpha * (b - 1.0) * w1 * ratio
     d_alpha = 1.0 / alpha + a * logu - (b - 1.0) * ratio * logu
     return np.column_stack([d_a, d_b, d_lam, d_alpha])
+
+
+def _loglik_score(theta: np.ndarray, y: np.ndarray):
+    """(log-likelihood, score sum) from one pass of ``_pieces``."""
+    pieces = _pieces(theta, y)
+    return _loglik(theta, y, pieces), _score_contrib(theta, y, pieces).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -147,14 +150,51 @@ def score_contributions(dist: BGE, data) -> np.ndarray:
 # -- expectations over the latent beta variate ----------------------------------
 
 
+#: tanh-sinh rule v = (1 + tanh(pi/2 sinh t)) / 2 on t in [-8, 8]: the
+#: first level has step 1/8, each further one halves it and adds only the
+#: odd-numbered nodes.  At t = +-8 one of v and 1 - v is about e^-4682.
+_TS_T, _TS_H0, _TS_LEVELS = 8.0, 0.125, 7
+_TS_RTOL, _TS_FAIL_RTOL = 1e-12, 1e-8
+
+
+@functools.cache
+def _tanh_sinh_level(level: int) -> np.ndarray:
+    """The nodes a level adds, as rows log v, log(1 - v), log(-log v) and
+    log(dv/dt) = log(pi cosh t) + log v + log(1 - v); parameter-free, so
+    computed once per level."""
+    h = _TS_H0 / 2 ** level
+    n = round(_TS_T / h)
+    t = h * (np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2))
+    x = math.pi * np.sinh(t)                 # 2 atanh(2v - 1)
+    soft = np.log1p(np.exp(-np.abs(x)))
+    logv = -(np.maximum(-x, 0.0) + soft)
+    log1mv = -(np.maximum(x, 0.0) + soft)
+    with np.errstate(divide="ignore"):
+        # -log v = log1p(e^-x), whose log is -x - e^-x / 2 once e^-x is tiny
+        loglogv = np.where(x > 30.0, -x - 0.5 * np.exp(-np.abs(x)), np.log(-logv))
+    logw = np.log(math.pi * np.cosh(t)) + logv + log1mv
+    nodes = np.stack([logv, log1mv, loglogv, logw])
+    nodes.flags.writeable = False
+    return nodes
+
+
 def t_expectation(dist: BGE, i: int, j: int, k: int, l: int, m: int) -> float:
     """E[(1-V)^-i (1-V^(1/alpha))^j V^(i-k/alpha) log(1-V^(1/alpha))^l (log V)^m]
     for V ~ Beta(a, b), indices in {0, 1, 2}.
 
     Near v=1 the integrand scales like (1-v)^(b-1-i+j+m) up to logs, so
     the expectation is finite iff b > i - j - m; the symmetric condition
-    at v=0 is a + i + (l-k)/alpha > 0.  Integration substitutes v = s^2
-    and v = 1-w^2 on the two halves to soften the endpoints.
+    at v=0 is a + i + (l-k)/alpha > 0.
+
+    The integral is taken by the tanh-sinh rule v = (1 + tanh(pi/2 sinh t))/2,
+    truncated to t in [-8, 8], where the integrand has decayed like
+    (1-v)^(b-i+j+m) or v^(a+i+(l-k)/alpha) with 1 - v or v near e^-4682.
+    The step starts at 1/8 and halves, up to 6 times, until two levels
+    agree to 1e-12 relative.  Every factor is formed in log space from
+    whichever of log v and log(1 - v) is small, so neither end loses its
+    tail.  A last level that still disagrees by more than 1e-8 relative
+    raises ``NonIntegrableError``, which ``information_matrix`` answers
+    with its Monte Carlo fallback.
     """
     for name, idx in (("i", i), ("j", j), ("k", k), ("l", l), ("m", m)):
         if idx not in (0, 1, 2):
@@ -167,36 +207,43 @@ def t_expectation(dist: BGE, i: int, j: int, k: int, l: int, m: int) -> float:
         raise NonIntegrableError(
             f"T_{{{i},{j},{k},{l},{m}}} diverges at v=0 for a={a}, alpha={alpha}")
 
-    from scipy.integrate import quad
-
-    lbeta = specfun.log_beta(a, b)
     pow_v = a - 1.0 + i - k / alpha
     pow_1mv = b - 1.0 - i
-
-    def magnitude(v: float) -> float:
-        if v <= 0.0 or v >= 1.0:
-            return 0.0
-        logv = math.log(v)
-        onemv = -math.expm1(logv / alpha)          # 1 - v^(1/alpha)
-        if onemv <= 0.0:
-            return 0.0
-        lmag = pow_v * logv + pow_1mv * math.log1p(-v) - lbeta + j * math.log(onemv)
-        if l:
-            lognegl = -math.log(onemv)             # |log(1 - v^(1/alpha))|
-            if lognegl == 0.0:
-                return 0.0
-            lmag += l * math.log(lognegl)
+    log_alpha = math.log(alpha)
+    shift = -math.inf                    # running max of the log terms
+    total = 0.0                          # sum of the terms scaled by e^-shift
+    est = rel = math.nan
+    for level in range(_TS_LEVELS):
+        logv, log1mv, loglogv, logw = _tanh_sinh_level(level)
+        lterm = logw + pow_v * logv + pow_1mv * log1mv
         if m:
-            lmag += m * math.log(-logv)
-        return math.exp(lmag)
-
-    half = math.sqrt(0.5)
-    lo, _ = quad(lambda s: magnitude(s * s) * 2.0 * s, 0.0, half,
-                 epsabs=1e-11, epsrel=1e-10, limit=300)
-    hi, _ = quad(lambda w: magnitude(1.0 - w * w) * 2.0 * w, 0.0, half,
-                 epsabs=1e-11, epsrel=1e-10, limit=300)
+            lterm += m * loglogv
+        if j or l:
+            zed = -logv / alpha              # v^(1/alpha) = e^-zed
+            with np.errstate(divide="ignore"):
+                # log(1 - e^-zed); log zed - zed/2 where zed is tiny or 0
+                l1 = np.where(zed < 1e-8, loglogv - log_alpha - 0.5 * zed, log1mexp(zed))
+                if j:
+                    lterm += j * l1
+                if l:
+                    # log(-log(1 - e^-zed)) = -zed + log1p(e^-zed / 2) + O(e^-2zed)
+                    lterm += l * np.where(zed > 30.0, -zed + np.log1p(0.5 * np.exp(-zed)),
+                                          np.log(-l1))
+        top = float(lterm.max())
+        if top > shift:
+            rescale = math.exp(shift - top)
+            total, est, shift = total * rescale, est * rescale, top
+        total += float(np.exp(lterm - shift).sum())
+        prev, est = est, total * _TS_H0 / 2 ** level
+        rel = abs(est - prev) / est
+        if rel <= _TS_RTOL:
+            break
+    if not rel <= _TS_FAIL_RTOL:
+        raise NonIntegrableError(
+            f"T_{{{i},{j},{k},{l},{m}}}: the tanh-sinh rule did not converge for "
+            f"{dist} (last two levels differ by {rel:.2g} relative)")
     sign = -1.0 if (l + m) % 2 else 1.0
-    return sign * (lo + hi)
+    return sign * math.exp(shift + math.log(est) - specfun.log_beta(a, b))
 
 
 _INFO_ENTRY_NAMES = ("a,a", "a,b", "a,lam", "a,alpha", "b,b", "b,lam",
@@ -435,8 +482,8 @@ def fit_mle(data, model: str = "bge", init: BGE | None = None, *,
     def objective(phi: np.ndarray):
         theta = pinned.copy()
         theta[free_idx] = np.exp(phi)
-        g = _score_contrib(theta, y).sum(axis=0)
-        return -_loglik(theta, y), -(g[free_idx] * theta[free_idx])
+        ll, g = _loglik_score(theta, y)
+        return -ll, -(g[free_idx] * theta[free_idx])
 
     if init is not None:
         starts = [np.array(init.params_tuple())]

@@ -17,3 +17,15 @@ def test_import_loads_no_scipy_submodules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+def test_fit_with_covariance_loads_no_scipy_integrate():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys; from bgedist import fit_mle, glass_fibre_sample; "
+            "fit = fit_mle(glass_fibre_sample(), 'bge'); "
+            "print(fit.covariance is not None, 'scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["True", "False"]

@@ -1,7 +1,9 @@
 """Likelihood machinery: score, T-expectations, information, fitting, LR."""
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -78,6 +80,14 @@ class TestScore:
         assert contrib.shape == (50, 4)
         assert np.allclose(contrib.sum(axis=0), score(d, data).as_array(), rtol=1e-12)
 
+    def test_finite_at_subnormal_observation(self):
+        # y e^(-lam y) / u -> 1/lam as y -> 0, so d_lam -> alpha a / lam;
+        # e^(-lam y - log u) alone overflows below lam y ~ 1e-308
+        d = BGE(2.0, 3.0, 0.5, 1.5)
+        contrib = score_contributions(d, [1e-310, 1.0])
+        assert np.all(np.isfinite(contrib))
+        assert contrib[0, 2] == pytest.approx(d.alpha * d.a / d.lam, rel=1e-12)
+
     def test_expected_score_vanishes_monte_carlo(self):
         d = BGE(2.0, 3.0, 1.0, 1.5)
         draws = d.sample(1_000_000, np.random.default_rng(21))
@@ -111,6 +121,25 @@ class TestExpectedScoreIdentities:
             assert abs(vals.mean() - want) < 4.0 * se
 
 
+def mp_t_expectation(params, i, j, k, l, m):
+    """Independent oracle: T_{i,j,k,l,m} by mpmath quadrature at 20 digits,
+    in s = -log v on v < 1/2 and in q = -log(1 - v) on v > 1/2."""
+    with mp.workdps(20):
+        a, b, lam, alpha = map(mp.mpf, params)
+
+        def integrand(logv, log1mv):
+            lw = logv / alpha                      # log v^(1/alpha)
+            omw = -mp.expm1(lw)                    # 1 - v^(1/alpha)
+            log_omw = mp.log(omw) if lw > -1 else mp.log1p(-mp.exp(lw))
+            return (mp.exp((a - 1 + i - k / alpha) * logv + (b - 1 - i) * log1mv)
+                    * omw ** j * log_omw ** l * logv ** m)
+
+        cuts = [mp.log(2), 1, 10, 100, mp.inf]
+        lo = mp.quad(lambda s: integrand(-s, mp.log1p(-mp.exp(-s))) * mp.exp(-s), cuts)
+        hi = mp.quad(lambda q: integrand(mp.log1p(-mp.exp(-q)), -q) * mp.exp(-q), cuts)
+        return float((lo + hi) / mp.beta(a, b))
+
+
 class TestTExpectation:
     def test_total_mass(self):
         assert t_expectation(BGE(2, 3, 1, 1.5), 0, 0, 0, 0, 0) == pytest.approx(1.0, abs=1e-9)
@@ -141,6 +170,20 @@ class TestTExpectation:
         with pytest.raises(ValueError):
             t_expectation(BGE(2, 3, 1, 1), 3, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("params, idx", [
+        # value -1.0: v^(1/alpha) underflows over most of (0, 1)
+        ((2.0078, 37.1225, 57.5254, 0.0176), (0, 1, 1, 1, 0)),
+        # a fitted point of the benchmark's fit study: 0.99663786439345675
+        # and -0.99812522700031201, where 1 - v^(1/alpha) rounds to 1
+        ((0.2004, 1.8441, 0.3021, 0.1085), (0, 2, 2, 2, 0)),
+        ((0.2004, 1.8441, 0.3021, 0.1085), (0, 1, 1, 1, 0)),
+        # value 205.0313094891527: 1 - v underflows at small b
+        ((0.0133, 0.0184, 55.1298, 12.6715), (1, 1, 1, 2, 0)),
+    ])
+    def test_against_mpmath(self, params, idx):
+        assert t_expectation(BGE(*params), *idx) == pytest.approx(
+            mp_t_expectation(params, *idx), rel=1e-10)
+
 
 class TestInformationMatrix:
     def test_polygamma_entries(self):
@@ -163,6 +206,26 @@ class TestInformationMatrix:
         K = information_matrix(d).matrix
         est, se = mc_expected_information(d, 400_000, np.random.default_rng(51))
         assert np.all(np.abs(K - est) < 3.0 * se + 1e-8)
+
+    def test_matches_monte_carlo_hessian_small_alpha(self):
+        # the rule of test_matches_monte_carlo_hessian at a fitted point of
+        # the benchmark's fit study, where v^(1/alpha) is tiny over most
+        # of (0, 1)
+        d = BGE(0.2004, 1.8441, 0.3021, 0.1085)
+        K = information_matrix(d).matrix
+        est, se = mc_expected_information(d, 400_000, np.random.default_rng(51))
+        assert np.all(np.abs(K - est) < 3.0 * se + 1e-8)
+
+    @pytest.mark.parametrize("d", [
+        BGE(2.0, 0.6, 1.0, 2.0),
+        # a ridge fit of the CLI session's fit input
+        BGE(4.236264206, 0.458623873, 5.251855108, 90.0171313),
+    ], ids=str)
+    def test_no_warnings(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            info = information_matrix(d)
+        assert info.fallback_entries == ()
 
     def test_b_equal_one_fallback_entry(self):
         # the closed form for the (b, alpha) entry is 0/0 at b=1; the
