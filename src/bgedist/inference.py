@@ -2,16 +2,18 @@
 
 The likelihood is maximized in log-parameter space (all four parameters
 are positive) with the analytic score and a deterministic multi-start
-ladder.  The search domain is a documented box, |log theta_i| <= 4.5 by
-default: on some datasets the likelihood increases without bound along
-a b -> infinity ridge on which the family degenerates to a generalized
-gamma limit, so an unbounded "MLE" does not exist.  Fits that terminate
-on the box are reported with ``converged=False`` and the active bounds
-listed in ``hit_bounds``.  The expected information takes its beta
-expectations from a tanh-sinh rule on cached nodes, so ``inference``
-never loads ``scipy.integrate``; ``scipy.optimize`` is imported by
-``fit_mle`` on its first call, so importing the package does not load
-it.
+ladder.  Each distinct start runs once, and within a start the objective
+remembers the points it has computed, so a point met again is not
+recomputed.  The search domain is a documented box, |log theta_i| <= 4.5
+by default: on some datasets the likelihood increases without bound
+along a b -> infinity ridge on which the family degenerates to a
+generalized gamma limit, so an unbounded "MLE" does not exist.  Fits
+that terminate on the box are reported with ``converged=False`` and the
+active bounds listed in ``hit_bounds``.  The expected information takes
+its beta expectations from a tanh-sinh rule on cached nodes, so
+``inference`` never loads ``scipy.integrate``; ``scipy.optimize`` is
+imported by ``fit_mle`` on its first call, so importing the package does
+not load it.
 """
 
 from __future__ import annotations
@@ -77,42 +79,45 @@ def _as_values(data) -> np.ndarray:
 
 
 def _pieces(theta: np.ndarray, y: np.ndarray):
-    """Shared stable intermediates for likelihood and score."""
-    a, b, lam, alpha = theta
+    """Shared stable intermediates for likelihood and score, with the
+    parameters as Python floats, on which the scalar special functions
+    run faster than on numpy scalars."""
+    params = theta.tolist()
+    lam, alpha = params[2], params[3]
     z = lam * y
     logu = np.minimum(log1mexp(z), _LOGU_CLAMP)
-    return z, logu, log1mexp(-alpha * logu)
+    alogu = alpha * logu                        # log u^alpha
+    return params, z, logu, alogu, log1mexp(-alogu)
 
 
-def _loglik(theta: np.ndarray, y: np.ndarray, pieces=None) -> float:
-    a, b, lam, alpha = theta
-    z, logu, log1mua = _pieces(theta, y) if pieces is None else pieces
+def _loglik(pieces) -> float:
+    (a, b, lam, alpha), z, logu, _, log1mua = pieces
     return float(np.sum(math.log(alpha) + math.log(lam) - specfun.log_beta(a, b)
                         - z + (alpha * a - 1.0) * logu + (b - 1.0) * log1mua))
 
 
-def _score_contrib(theta: np.ndarray, y: np.ndarray, pieces=None) -> np.ndarray:
+def _score_contrib(pieces, y: np.ndarray) -> np.ndarray:
     """Per-observation score vectors, shape (n, 4)."""
-    a, b, lam, alpha = theta
-    z, logu, log1mua = _pieces(theta, y) if pieces is None else pieces
+    (a, b, lam, alpha), z, logu, alogu, log1mua = pieces
     psi_a = specfun.digamma(a)
     psi_b = specfun.digamma(b)
     psi_ab = specfun.digamma(a + b)
     arg = -z - logu
     # y e^{-lam y} / u; e^arg overflows once lam y is below about 1e-308
     w1 = y * np.exp(arg) if arg.max() < 709.0 else np.exp(np.log(y) + arg)
-    ratio = np.exp(alpha * logu - log1mua)      # u^alpha / (1 - u^alpha)
-    d_a = alpha * logu - (psi_a - psi_ab)
-    d_b = log1mua - (psi_b - psi_ab)
-    d_lam = 1.0 / lam - y + (alpha * a - 1.0) * w1 - alpha * (b - 1.0) * w1 * ratio
-    d_alpha = 1.0 / alpha + a * logu - (b - 1.0) * ratio * logu
-    return np.column_stack([d_a, d_b, d_lam, d_alpha])
+    ratio = np.exp(alogu - log1mua)             # u^alpha / (1 - u^alpha)
+    out = np.empty((y.size, 4))
+    out[:, 0] = alogu - (psi_a - psi_ab)
+    out[:, 1] = log1mua - (psi_b - psi_ab)
+    out[:, 2] = 1.0 / lam - y + (alpha * a - 1.0) * w1 - alpha * (b - 1.0) * w1 * ratio
+    out[:, 3] = 1.0 / alpha + a * logu - (b - 1.0) * ratio * logu
+    return out
 
 
 def _loglik_score(theta: np.ndarray, y: np.ndarray):
     """(log-likelihood, score sum) from one pass of ``_pieces``."""
     pieces = _pieces(theta, y)
-    return _loglik(theta, y, pieces), _score_contrib(theta, y, pieces).sum(axis=0)
+    return _loglik(pieces), _score_contrib(pieces, y).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -131,20 +136,20 @@ class ScoreVector:
 def log_likelihood(dist: BGE, data) -> float:
     """Total log-likelihood of ``data`` under ``dist``."""
     y = _as_values(data)
-    return _loglik(np.array(dist.params_tuple()), y)
+    return _loglik(_pieces(np.array(dist.params_tuple()), y))
 
 
 def score(dist: BGE, data) -> ScoreVector:
     """Analytic score (gradient of the total log-likelihood)."""
     y = _as_values(data)
-    g = _score_contrib(np.array(dist.params_tuple()), y).sum(axis=0)
+    g = _score_contrib(_pieces(np.array(dist.params_tuple()), y), y).sum(axis=0)
     return ScoreVector(*g)
 
 
 def score_contributions(dist: BGE, data) -> np.ndarray:
     """Per-observation score vectors, shape (n, 4); sums to ``score``."""
     y = _as_values(data)
-    return _score_contrib(np.array(dist.params_tuple()), y)
+    return _score_contrib(_pieces(np.array(dist.params_tuple()), y), y)
 
 
 # -- expectations over the latent beta variate ----------------------------------
@@ -279,7 +284,8 @@ def mc_expected_information(dist: BGE, n_draws: int, rng: np.random.Generator,
         h = rel_step * theta[idx]
         tp = theta.copy(); tp[idx] += h
         tm = theta.copy(); tm[idx] -= h
-        cols.append((_score_contrib(tp, y) - _score_contrib(tm, y)) / (2.0 * h))
+        cols.append((_score_contrib(_pieces(tp, y), y)
+                     - _score_contrib(_pieces(tm, y), y)) / (2.0 * h))
     hess = np.stack(cols, axis=1)               # (n, 4, 4), d s_j / d theta_i
     hess = 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
     est = -hess.mean(axis=0)
@@ -400,10 +406,10 @@ def _ge_moment_match(mean: float, var: float) -> tuple:
         return 1.0 / mean, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        step = (mid, hi) if gap(mid) > 0.0 else (lo, mid)
+        if step == (lo, hi):
+            break       # lo and hi are adjacent floats: every later step repeats this one
+        lo, hi = step
     alpha = math.exp(0.5 * (lo + hi))
     lam = (specfun.digamma(alpha + 1.0) - specfun.digamma(1.0)) / mean
     return lam, alpha
@@ -459,7 +465,12 @@ def fit_mle(data, model: str = "bge", init: BGE | None = None, *,
         One of "bge", "be", "ge", "dge", "exp"; pinned parameters are 1.
     init : BGE, optional
         Starting point; when absent a deterministic multi-start ladder
-        (moment-matched GE seed plus a shape grid) is used.
+        (moment-matched GE seed plus a shape grid) is used.  A start
+        equal to an earlier one after clipping to the box is skipped: its
+        run would repeat the earlier run exactly and lose the tie-break.
+        Within a start the objective is memoized on the parameter vector,
+        so L-BFGS-B restarts and repeated line-search points cost no
+        second likelihood pass; the memo is cleared at each start.
     log_bound : float
         Half-width of the log-parameter search box.
 
@@ -479,11 +490,20 @@ def fit_mle(data, model: str = "bge", init: BGE | None = None, *,
     free_idx = [PARAM_NAMES.index(p) for p in free]
     pinned = np.ones(4)
 
+    # One start meets many theta twice: the check after each L-BFGS-B run
+    # and the next run's x0 repeat the point it stopped at, and near
+    # convergence distinct phi round to one theta.  memo holds one start.
+    memo: dict = {}
+
     def objective(phi: np.ndarray):
         theta = pinned.copy()
         theta[free_idx] = np.exp(phi)
-        ll, g = _loglik_score(theta, y)
-        return -ll, -(g[free_idx] * theta[free_idx])
+        key = theta.tobytes()
+        if key not in memo:
+            ll, g = _loglik_score(theta, y)
+            memo[key] = (-ll, -(g[free_idx] * theta[free_idx]))
+        f, neg_g = memo[key]
+        return f, neg_g.copy()          # scipy keeps the arrays it is given
 
     if init is not None:
         starts = [np.array(init.params_tuple())]
@@ -492,8 +512,13 @@ def fit_mle(data, model: str = "bge", init: BGE | None = None, *,
 
     bounds = [(-log_bound, log_bound)] * len(free_idx)
     runs = []
+    seen = set()
     for start_idx, theta0 in enumerate(starts):
         phi0 = np.clip(np.log(theta0[free_idx]), -log_bound + 1e-2, log_bound - 1e-2)
+        if phi0.tobytes() in seen:
+            continue    # a bit-for-bit rerun of an earlier start, which wins the tie-break
+        seen.add(phi0.tobytes())
+        memo.clear()
         nit = 0
         phi = phi0
         # restarts clear the L-BFGS memory, which pushes the gradient

@@ -7,8 +7,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import bgedist.inference as inf
 from bgedist import BGE
 from bgedist import specfun as sf
+from bgedist.distribution import _LOGU_CLAMP, log1mexp
 from bgedist.inference import (NonIntegrableError, confidence_intervals,
                                fit_mle, fit_result_kv, information_matrix,
                                log_likelihood, lr_from_fits, lr_result_kv,
@@ -95,6 +97,73 @@ class TestScore:
         mean = contrib.mean(axis=0)
         se = contrib.std(axis=0, ddof=1) / math.sqrt(contrib.shape[0])
         assert np.all(np.abs(mean) < 4.0 * se)
+
+
+# Reference likelihood kernel in its plain column-stacked form; the
+# library's one-pass kernel evaluates the same expressions and must
+# return the same bits.
+
+
+def _ref_pieces(theta, y):
+    """Shared stable intermediates for likelihood and score."""
+    a, b, lam, alpha = theta
+    z = lam * y
+    logu = np.minimum(log1mexp(z), _LOGU_CLAMP)
+    return z, logu, log1mexp(-alpha * logu)
+
+
+def _ref_loglik(theta, y, pieces=None) -> float:
+    a, b, lam, alpha = theta
+    z, logu, log1mua = _ref_pieces(theta, y) if pieces is None else pieces
+    return float(np.sum(math.log(alpha) + math.log(lam) - sf.log_beta(a, b)
+                        - z + (alpha * a - 1.0) * logu + (b - 1.0) * log1mua))
+
+
+def _ref_score_contrib(theta, y, pieces=None):
+    """Per-observation score vectors, shape (n, 4)."""
+    a, b, lam, alpha = theta
+    z, logu, log1mua = _ref_pieces(theta, y) if pieces is None else pieces
+    psi_a = sf.digamma(a)
+    psi_b = sf.digamma(b)
+    psi_ab = sf.digamma(a + b)
+    arg = -z - logu
+    # y e^{-lam y} / u; e^arg overflows once lam y is below about 1e-308
+    w1 = y * np.exp(arg) if arg.max() < 709.0 else np.exp(np.log(y) + arg)
+    ratio = np.exp(alpha * logu - log1mua)      # u^alpha / (1 - u^alpha)
+    d_a = alpha * logu - (psi_a - psi_ab)
+    d_b = log1mua - (psi_b - psi_ab)
+    d_lam = 1.0 / lam - y + (alpha * a - 1.0) * w1 - alpha * (b - 1.0) * w1 * ratio
+    d_alpha = 1.0 / alpha + a * logu - (b - 1.0) * ratio * logu
+    return np.column_stack([d_a, d_b, d_lam, d_alpha])
+
+
+class TestKernelMatchesReference:
+    @staticmethod
+    def assert_same_bits(theta, y):
+        d = BGE(*theta)
+        want_ll = _ref_loglik(theta, y)
+        want_contrib = _ref_score_contrib(theta, y)
+        want_score = want_contrib.sum(axis=0)
+        ll, g = inf._loglik_score(theta, y)
+        assert repr(ll) == repr(want_ll)
+        assert repr(log_likelihood(d, y)) == repr(want_ll)
+        np.testing.assert_array_equal(g, want_score, strict=True)
+        np.testing.assert_array_equal(score(d, y).as_array(), want_score, strict=True)
+        np.testing.assert_array_equal(score_contributions(d, y), want_contrib, strict=True)
+
+    @pytest.mark.parametrize("n", [63, 1000])
+    def test_box_points_and_corners(self, n):
+        rng = np.random.default_rng(4242)
+        edge = inf.DEFAULT_LOG_BOUND
+        corners = [np.exp(edge * (2.0 * np.array(s) - 1.0)) for s in np.ndindex(2, 2, 2, 2)]
+        inner = list(np.exp(rng.uniform(-edge, edge, size=(8, 4))))
+        for theta in corners + inner:
+            # lam y log-uniform over [1e-6, 60]: both branches of log1mexp
+            y = np.exp(rng.uniform(math.log(1e-6), math.log(60.0), n)) / theta[2]
+            self.assert_same_bits(theta, y)
+
+    def test_subnormal_observation(self):
+        self.assert_same_bits(np.array([2.0, 3.0, 0.5, 1.5]), np.array([1e-310, 1.0]))
 
 
 class TestExpectedScoreIdentities:
@@ -348,6 +417,66 @@ class TestFit:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             fit_mle([1.0, 2.0], "weibull")
+
+    @pytest.mark.parametrize("model, n_starts", [("dge", 4), ("bge", 16)])
+    def test_no_point_computed_twice_within_a_start(self, glass_fibre, monkeypatch,
+                                                     model, n_starts):
+        # the ladder lists the start b = 1 twice for dge, and for bge the
+        # moment-matched GE start is also the grid's (1, 1) entry
+        import scipy.optimize
+
+        plain = fit_mle(glass_fibre, model, compute_covariance=False)
+        kernel, minimize = inf._loglik_score, scipy.optimize.minimize
+        per_start: list = []
+        last_x = [None]
+
+        def recording_minimize(fun, x0, **kwargs):
+            if x0.tobytes() != last_x[0]:       # a new start, not a restart
+                per_start.append([])
+            res = minimize(fun, x0, **kwargs)
+            last_x[0] = res.x.tobytes()
+            return res
+
+        def recording_kernel(theta, y):
+            per_start[-1].append(theta.tobytes())
+            return kernel(theta, y)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
+        monkeypatch.setattr(inf, "_loglik_score", recording_kernel)
+        fit = fit_mle(glass_fibre, model, compute_covariance=False)
+        assert len(per_start) == n_starts
+        for thetas in per_start:
+            assert len(set(thetas)) == len(thetas)
+        assert repr(fit.loglik) == repr(plain.loglik)
+        assert fit.iterations == plain.iterations
+
+    def test_ge_moment_match_stops_early_with_the_same_bits(self, glass_fibre):
+        def full_bisection(mean, var):
+            # the moment match with all 200 bisection steps taken
+            cv2 = var / mean ** 2
+
+            def gap(log_alpha):
+                al = math.exp(log_alpha)
+                c = sf.digamma(al + 1.0) - sf.digamma(1.0)
+                p = sf.trigamma(1.0) - sf.trigamma(al + 1.0)
+                return p / (c * c) - cv2
+
+            lo, hi = math.log(1e-4), math.log(1e6)
+            assert gap(lo) >= 0.0 >= gap(hi)
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if gap(mid) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            alpha = math.exp(0.5 * (lo + hi))
+            return (sf.digamma(alpha + 1.0) - sf.digamma(1.0)) / mean, alpha
+
+        y = glass_fibre.values
+        pairs = [(float(y.mean()), float(y.var(ddof=1))), (1.0, 1.0), (2.0, 0.1),
+                 (0.5, 2.0), (3.0, 0.5), (1e-3, 1e-5)]
+        for mean, var in pairs:
+            assert repr(inf._ge_moment_match(mean, var)) == repr(full_bisection(mean, var))
 
     def test_ladder_robustness_sweep(self):
         # the fitted cdf must track the truth across regimes even where
