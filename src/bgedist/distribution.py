@@ -12,6 +12,7 @@ mutates only the caller-supplied generator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +48,75 @@ def log1mexp(z):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+#: tanh-sinh rule v = (1 + tanh(pi/2 sinh t)) / 2 on t in [-8, 8]: the
+#: first level has step 1/8, each further one halves it and adds only the
+#: odd-numbered nodes.  At t = +-8 one of v and 1 - v is about e^-4682.
+_TS_T, _TS_H0, _TS_LEVELS = 8.0, 0.125, 7
+_TS_RTOL, _TS_FAIL_RTOL = 1e-12, 1e-8
+
+
+@functools.cache
+def _tanh_sinh_level(level: int) -> np.ndarray:
+    """The nodes a level adds, as rows log v, log(1 - v), log(-log v) and
+    log(dv/dt) = log(pi cosh t) + log v + log(1 - v); parameter-free, so
+    computed once per level."""
+    h = _TS_H0 / 2 ** level
+    n = round(_TS_T / h)
+    t = h * (np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2))
+    x = math.pi * np.sinh(t)                 # 2 atanh(2v - 1)
+    soft = np.log1p(np.exp(-np.abs(x)))
+    logv = -(np.maximum(-x, 0.0) + soft)
+    log1mv = -(np.maximum(x, 0.0) + soft)
+    with np.errstate(divide="ignore"):
+        # -log v = log1p(e^-x), whose log is -x - e^-x / 2 once e^-x is tiny
+        loglogv = np.where(x > 30.0, -x - 0.5 * np.exp(-np.abs(x)), np.log(-logv))
+    logw = np.log(math.pi * np.cosh(t)) + logv + log1mv
+    nodes = np.stack([logv, log1mv, loglogv, logw])
+    nodes.flags.writeable = False
+    return nodes
+
+
+def _log_latent_transform(logv, loglogv, alpha: float):
+    """Rows log(1 - w) and log(-log(1 - w)) at w = v^(1/alpha), from the
+    node rows log v and log(-log v); the second is log(lam * x) at the
+    BGE variate x = -log(1 - w) / lam of the latent beta variate v."""
+    zed = -logv / alpha              # w = e^-zed
+    with np.errstate(divide="ignore"):
+        # log(1 - e^-zed); log zed - zed/2 where zed is tiny or 0
+        log1mw = np.where(zed < 1e-8, loglogv - math.log(alpha) - 0.5 * zed, log1mexp(zed))
+        # log(-log(1 - e^-zed)) = -zed + log1p(e^-zed / 2) + O(e^-2zed)
+        loglogw = np.where(zed > 30.0, -zed + np.log1p(0.5 * np.exp(-zed)), np.log(-log1mw))
+    return log1mw, loglogw
+
+
+def _tanh_sinh_log_integral(log_terms) -> tuple:
+    """log of the integral over v in (0, 1) by the tanh-sinh rule, and the
+    relative difference of its last two levels.
+
+    ``log_terms`` maps a level's node rows (log v, log(1 - v),
+    log(-log v), log dv/dt) to the log of integrand times dv/dt.  The
+    step halves, up to 6 times, until two levels agree to 1e-12
+    relative; the terms are summed scaled by their running maximum, so
+    the integral may lie far outside the double range.  The caller
+    raises when the returned difference exceeds ``_TS_FAIL_RTOL``.
+    """
+    shift = -math.inf                    # running max of the log terms
+    total = 0.0                          # sum of the terms scaled by e^-shift
+    est = rel = math.nan
+    for level in range(_TS_LEVELS):
+        lterm = log_terms(_tanh_sinh_level(level))
+        top = float(lterm.max())
+        if top > shift:
+            rescale = math.exp(shift - top)
+            total, est, shift = total * rescale, est * rescale, top
+        total += float(np.exp(lterm - shift).sum())
+        prev, est = est, total * _TS_H0 / 2 ** level
+        rel = abs(est - prev) / est
+        if rel <= _TS_RTOL:
+            break
+    return shift + math.log(est), rel
 
 
 @dataclass(frozen=True)

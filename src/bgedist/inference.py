@@ -18,7 +18,6 @@ not load it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -26,7 +25,8 @@ from statistics import NormalDist
 import numpy as np
 
 from . import specfun
-from .distribution import _LOGU_CLAMP, BGE, Sample, log1mexp
+from .distribution import (_LOGU_CLAMP, _TS_FAIL_RTOL, BGE, Sample, _log_latent_transform,
+                           _tanh_sinh_log_integral, log1mexp)
 
 __all__ = [
     "PARAM_NAMES",
@@ -155,34 +155,6 @@ def score_contributions(dist: BGE, data) -> np.ndarray:
 # -- expectations over the latent beta variate ----------------------------------
 
 
-#: tanh-sinh rule v = (1 + tanh(pi/2 sinh t)) / 2 on t in [-8, 8]: the
-#: first level has step 1/8, each further one halves it and adds only the
-#: odd-numbered nodes.  At t = +-8 one of v and 1 - v is about e^-4682.
-_TS_T, _TS_H0, _TS_LEVELS = 8.0, 0.125, 7
-_TS_RTOL, _TS_FAIL_RTOL = 1e-12, 1e-8
-
-
-@functools.cache
-def _tanh_sinh_level(level: int) -> np.ndarray:
-    """The nodes a level adds, as rows log v, log(1 - v), log(-log v) and
-    log(dv/dt) = log(pi cosh t) + log v + log(1 - v); parameter-free, so
-    computed once per level."""
-    h = _TS_H0 / 2 ** level
-    n = round(_TS_T / h)
-    t = h * (np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2))
-    x = math.pi * np.sinh(t)                 # 2 atanh(2v - 1)
-    soft = np.log1p(np.exp(-np.abs(x)))
-    logv = -(np.maximum(-x, 0.0) + soft)
-    log1mv = -(np.maximum(x, 0.0) + soft)
-    with np.errstate(divide="ignore"):
-        # -log v = log1p(e^-x), whose log is -x - e^-x / 2 once e^-x is tiny
-        loglogv = np.where(x > 30.0, -x - 0.5 * np.exp(-np.abs(x)), np.log(-logv))
-    logw = np.log(math.pi * np.cosh(t)) + logv + log1mv
-    nodes = np.stack([logv, log1mv, loglogv, logw])
-    nodes.flags.writeable = False
-    return nodes
-
-
 def t_expectation(dist: BGE, i: int, j: int, k: int, l: int, m: int) -> float:
     """E[(1-V)^-i (1-V^(1/alpha))^j V^(i-k/alpha) log(1-V^(1/alpha))^l (log V)^m]
     for V ~ Beta(a, b), indices in {0, 1, 2}.
@@ -214,41 +186,27 @@ def t_expectation(dist: BGE, i: int, j: int, k: int, l: int, m: int) -> float:
 
     pow_v = a - 1.0 + i - k / alpha
     pow_1mv = b - 1.0 - i
-    log_alpha = math.log(alpha)
-    shift = -math.inf                    # running max of the log terms
-    total = 0.0                          # sum of the terms scaled by e^-shift
-    est = rel = math.nan
-    for level in range(_TS_LEVELS):
-        logv, log1mv, loglogv, logw = _tanh_sinh_level(level)
+
+    def log_terms(nodes):
+        logv, log1mv, loglogv, logw = nodes
         lterm = logw + pow_v * logv + pow_1mv * log1mv
         if m:
             lterm += m * loglogv
         if j or l:
-            zed = -logv / alpha              # v^(1/alpha) = e^-zed
-            with np.errstate(divide="ignore"):
-                # log(1 - e^-zed); log zed - zed/2 where zed is tiny or 0
-                l1 = np.where(zed < 1e-8, loglogv - log_alpha - 0.5 * zed, log1mexp(zed))
-                if j:
-                    lterm += j * l1
-                if l:
-                    # log(-log(1 - e^-zed)) = -zed + log1p(e^-zed / 2) + O(e^-2zed)
-                    lterm += l * np.where(zed > 30.0, -zed + np.log1p(0.5 * np.exp(-zed)),
-                                          np.log(-l1))
-        top = float(lterm.max())
-        if top > shift:
-            rescale = math.exp(shift - top)
-            total, est, shift = total * rescale, est * rescale, top
-        total += float(np.exp(lterm - shift).sum())
-        prev, est = est, total * _TS_H0 / 2 ** level
-        rel = abs(est - prev) / est
-        if rel <= _TS_RTOL:
-            break
+            log1mw, loglogw = _log_latent_transform(logv, loglogv, alpha)
+            if j:
+                lterm += j * log1mw
+            if l:
+                lterm += l * loglogw
+        return lterm
+
+    log_integral, rel = _tanh_sinh_log_integral(log_terms)
     if not rel <= _TS_FAIL_RTOL:
         raise NonIntegrableError(
             f"T_{{{i},{j},{k},{l},{m}}}: the tanh-sinh rule did not converge for "
             f"{dist} (last two levels differ by {rel:.2g} relative)")
     sign = -1.0 if (l + m) % 2 else 1.0
-    return sign * math.exp(shift + math.log(est) - specfun.log_beta(a, b))
+    return sign * math.exp(log_integral - specfun.log_beta(a, b))
 
 
 _INFO_ENTRY_NAMES = ("a,a", "a,b", "a,lam", "a,alpha", "b,b", "b,lam",

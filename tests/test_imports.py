@@ -29,3 +29,16 @@ def test_fit_with_covariance_loads_no_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.split() == ["True", "False"]
+
+
+def test_order_stat_moment_loads_no_scipy_integrate():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys; from bgedist import BGE; "
+            "from bgedist.order_stats import OrderStatIndex, order_stat_moment; "
+            "m = order_stat_moment(BGE(2, 1.5, 1, 2), OrderStatIndex(3, 3), 1); "
+            "print(m > 0.0, 'scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["True", "False"]

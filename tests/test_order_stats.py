@@ -1,8 +1,11 @@
 """Order statistics: direct formula, mixture expansions, reconciliation."""
 
+import itertools
 import math
 import pathlib
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -161,6 +164,76 @@ class TestMoments:
     def test_bad_method(self):
         with pytest.raises(ValueError):
             order_stat_moment(BGE(1, 2, 1, 1), OrderStatIndex(1, 2), 1, method="guess")
+
+
+def mp_order_stat_moment(params, i, n, r):
+    """Independent oracle: E[X_{i:n}^r] by mpmath quadrature at 20 digits
+    over the latent beta variate v, in s = -log v on v < 1/2 and in
+    q = -log(1 - v) on v > 1/2."""
+    with mp.workdps(20):
+        a, b, lam, alpha = map(mp.mpf, params)
+
+        def integrand(logv, log1mv, low):
+            # the beta cdf from its small argument, the other side by subtraction
+            if low:
+                cdf = mp.betainc(a, b, 0, mp.exp(logv), regularized=True)
+                sf = 1 - cdf
+            else:
+                sf = mp.betainc(b, a, 0, mp.exp(log1mv), regularized=True)
+                cdf = 1 - sf
+            lw = logv / alpha                      # log v^(1/alpha)
+            x = -(mp.log1p(-mp.exp(lw)) if lw < -1 else mp.log(-mp.expm1(lw))) / lam
+            jac = log1mv if low else logv          # dv = v ds below 1/2, (1 - v) dq above
+            return x ** r * cdf ** (i - 1) * sf ** (n - i) * mp.exp(a * logv + b * log1mv - jac)
+
+        # log(1 - e^-s) by log1p: log(-expm1(-s)) rounds to log 0 at large s
+        lo = lambda s: integrand(-s, mp.log1p(-mp.exp(-s)), True)
+        hi = lambda q: integrand(mp.log1p(-mp.exp(-q)), -q, False)
+        cuts = [mp.log(2), 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, mp.inf]
+        # mp.quad stops on an absolute error estimate: scale the integrand to O(1)
+        scale = max(f(c) for f in (lo, hi) for c in cuts[:-1])
+        total = mp.quad(lambda s: lo(s) / scale, cuts) + mp.quad(lambda q: hi(q) / scale, cuts)
+        return float(total * scale / (mp.beta(a, b) * mp.beta(i, n - i + 1)))
+
+
+class TestMomentOracle:
+    """The quadrature moment against mpmath.  At all but the first point
+    an adaptive quadrature of the density was off by 0.12 % to 100 %."""
+
+    @pytest.mark.parametrize("params, kind, reference", [
+        ((2.0, 1.5, 1.0, 2.0), (3, 3, 1), 2.35571417425),
+        ((0.02, 0.02, 1.0, 0.5), (3, 3, 1), 57.7650429386),
+        ((0.02, 0.02, 1.0, 0.5), (2, 4, 2), 211.422292345),
+        ((3.0, 0.12, 0.5, 4.0), (3, 3, 1), 36.1819103168),
+        ((1.1645788635323704, 0.011171851377448676, 3.409653146991546, 0.430616362199317),
+         (3, 3, 1), 47.9523615046),
+        ((15.629259924721465, 0.011367036351809601, 59.38539695139428, 30.737897468028287),
+         (3, 3, 1), 2.82890547187),
+        # functionals benchmark points at small alpha, where quad cut at
+        # quantile(1 - 1e-13) gave 1.19e-36 and 1.0e-30
+        ((4.066631485142061, 39.083506827670455, 0.030776038437878107, 0.026184768720646814),
+         (1, 3, 1), 2.15346598287635e-28),
+        ((1.325952719929665, 49.69344399792961, 0.05233558008099045, 0.055949719931525),
+         (1, 3, 1), 3.39001347924e-22),
+    ])
+    def test_against_mpmath(self, params, kind, reference):
+        i, n, r = kind
+        want = mp_order_stat_moment(params, i, n, r)
+        assert want == pytest.approx(reference, rel=1e-10)
+        assert order_stat_moment(BGE(*params), OrderStatIndex(i, n), r) == pytest.approx(
+            want, rel=1e-10)
+
+
+class TestMomentBoxCorners:
+    @pytest.mark.parametrize("signs", list(itertools.product((-1.0, 1.0), repeat=4)))
+    def test_finite_positive_and_ordered(self, signs):
+        d = BGE(*(math.exp(4.5 * s) for s in signs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = {(i, n, r): order_stat_moment(d, OrderStatIndex(i, n), r)
+                   for i, n, r in ((1, 1, 1), (1, 3, 1), (2, 3, 1), (3, 3, 1), (2, 4, 2))}
+        assert all(math.isfinite(v) and v > 0.0 for v in got.values()), got
+        assert got[1, 3, 1] <= got[2, 3, 1] <= got[3, 3, 1]
 
 
 class TestMgf:

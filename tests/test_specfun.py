@@ -1,6 +1,7 @@
 """Special-function kernel vs independent high-precision oracles."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -52,6 +53,18 @@ class TestLogBeta:
             assert got == pytest.approx(want, rel=1e-13)
         with pytest.raises(ValueError):
             sf.log_beta_array(a, 0.0)
+
+
+    def test_huge_argument_vs_mpmath(self):
+        # b = 1e160: 1/b^2 underflows to 0 in the Stirling correction,
+        # silently, in both forms; mpmath needs 200 digits for the difference
+        a = np.array([2.0, 0.5, 37.5])
+        with mp.workdps(200):
+            want = [float(mp.log(mp.beta(x, mp.mpf("1e160")))) for x in a]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sf.log_beta(2.0, 1e160) == pytest.approx(want[0], rel=1e-13)
+            assert sf.log_beta_array(a, 1e160) == pytest.approx(want, rel=1e-13)
 
 
 class TestIncBetaRatio:
