@@ -92,31 +92,39 @@ def _log_latent_transform(logv, loglogv, alpha: float):
 
 
 def _tanh_sinh_log_integral(log_terms) -> tuple:
-    """log of the integral over v in (0, 1) by the tanh-sinh rule, and the
-    relative difference of its last two levels.
+    """logs of integrals over v in (0, 1) by the tanh-sinh rule, one per
+    row of terms, and the largest relative difference of their last two
+    levels.
 
     ``log_terms`` maps a level's node rows (log v, log(1 - v),
-    log(-log v), log dv/dt) to the log of integrand times dv/dt.  The
-    step halves, up to 6 times, until two levels agree to 1e-12
-    relative; the terms are summed scaled by their running maximum, so
-    the integral may lie far outside the double range.  The caller
-    raises when the returned difference exceeds ``_TS_FAIL_RTOL``.
+    log(-log v), log dv/dt) to the log of integrand times dv/dt: one row
+    of terms, or a 2-d array whose rows are integrands sharing the nodes.
+    The step halves, up to 6 times, until every row's last two levels
+    agree to 1e-12 relative; each row's terms are summed scaled by its
+    running maximum, so an integral may lie far outside the double
+    range.  The caller raises when the returned difference exceeds
+    ``_TS_FAIL_RTOL``.
     """
-    shift = -math.inf                    # running max of the log terms
-    total = 0.0                          # sum of the terms scaled by e^-shift
-    est = rel = math.nan
     for level in range(_TS_LEVELS):
-        lterm = log_terms(_tanh_sinh_level(level))
-        top = float(lterm.max())
-        if top > shift:
-            rescale = math.exp(shift - top)
-            total, est, shift = total * rescale, est * rescale, top
-        total += float(np.exp(lterm - shift).sum())
-        prev, est = est, total * _TS_H0 / 2 ** level
-        rel = abs(est - prev) / est
+        rows = np.atleast_2d(log_terms(_tanh_sinh_level(level)))
+        if level == 0:
+            shift = [-math.inf] * len(rows)   # running max of each row's log terms
+            total = [0.0] * len(rows)         # each row's terms scaled by e^-shift
+            est = [math.nan] * len(rows)
+        rel = 0.0
+        for k, lterm in enumerate(rows):
+            top = float(lterm.max())
+            if top > shift[k]:
+                rescale = math.exp(shift[k] - top)
+                total[k], est[k], shift[k] = total[k] * rescale, est[k] * rescale, top
+            total[k] += float(np.exp(lterm - shift[k]).sum())
+            prev, est[k] = est[k], total[k] * _TS_H0 / 2 ** level
+            row_rel = abs(est[k] - prev) / est[k]
+            # max() keeps a nan first argument but drops a nan second one
+            rel = max(rel, row_rel) if row_rel == row_rel else math.nan
         if rel <= _TS_RTOL:
             break
-    return shift + math.log(est), rel
+    return [s + math.log(e) for s, e in zip(shift, est)], rel
 
 
 @dataclass(frozen=True)

@@ -200,7 +200,7 @@ def t_expectation(dist: BGE, i: int, j: int, k: int, l: int, m: int) -> float:
                 lterm += l * loglogw
         return lterm
 
-    log_integral, rel = _tanh_sinh_log_integral(log_terms)
+    (log_integral,), rel = _tanh_sinh_log_integral(log_terms)
     if not rel <= _TS_FAIL_RTOL:
         raise NonIntegrableError(
             f"T_{{{i},{j},{k},{l},{m}}}: the tanh-sinh rule did not converge for "

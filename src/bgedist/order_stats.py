@@ -307,7 +307,7 @@ def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int,
                 lterm += (n - i) * log_sf
         return lterm
 
-    log_integral, rel = _tanh_sinh_log_integral(log_terms)
+    (log_integral,), rel = _tanh_sinh_log_integral(log_terms)
     if not rel <= _TS_FAIL_RTOL:
         raise RuntimeError(
             f"E[X_{{{i}:{n}}}^{r}]: the tanh-sinh rule did not converge for {dist} "

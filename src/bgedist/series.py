@@ -10,6 +10,14 @@ carries less rounding into the alternating sums than differences of
 ``lgamma`` values do.  Terms are evaluated in numpy blocks of the
 summation index; ``scipy.special`` is imported by the functions that use
 it, so importing the package does not load it.
+
+``raw_moment`` is the paper's moment series.  ``moment_set`` (and so
+``skewness_kurtosis``) and ``shannon_entropy`` instead take E[X^r] as an
+expectation over the latent Beta(a, b) variate by the tanh-sinh rule
+that ``order_stats.order_stat_moment`` uses: the series is off by up to
+1e-2 at b < 0.03 and cannot be evaluated in doubles at large b, while
+the rule is accurate to about 1e-14 at every point checked, the box
+corners included, and loads no scipy module.
 """
 
 from __future__ import annotations
@@ -21,7 +29,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import specfun
-from .distribution import BGE, log1mexp
+from .distribution import (_TS_FAIL_RTOL, BGE, _log_latent_transform, _tanh_sinh_log_integral,
+                           log1mexp)
 
 __all__ = [
     "SeriesControl",
@@ -42,7 +51,8 @@ __all__ = [
 
 
 class SeriesConvergenceError(RuntimeError):
-    """Raised when a series hits its term cap before meeting tolerance."""
+    """Raised when a series hits its term cap before meeting tolerance, or
+    when the tanh-sinh rule of ``moment_set`` does not converge."""
 
     def __init__(self, message: str, partial: float, terms: int):
         super().__init__(message)
@@ -493,32 +503,57 @@ class MomentSet:
     kurtosis: float
 
 
-def moment_set(dist: BGE, ctl: SeriesControl = DEFAULT_CONTROL) -> MomentSet:
-    """The first four raw moments from one pass over the series terms;
-    each equals ``raw_moment(dist, r, ctl)``."""
-    mu1, mu2, mu3, mu4 = (res.value / dist.lam ** r for r, res in
-                          zip((1, 2, 3, 4), _moment_sums(dist, (1, 2, 3, 4), ctl)))
+def _latent_moments(dist: BGE, orders: tuple) -> list:
+    """E[(lam X)^r] for each r in ``orders`` from one tanh-sinh pass over
+    the latent variate V ~ Beta(a, b), lam X = -log(1 - V^(1/alpha)).
+
+    The log T row is formed once per level and each r adds its own row;
+    the step halves until every row's last two levels agree to 1e-12
+    relative, and a last difference above 1e-8 relative raises
+    ``SeriesConvergenceError``."""
+    a, b, alpha = dist.a, dist.b, dist.alpha
+    r = np.array(orders, dtype=float)[:, None]
+
+    def log_terms(nodes):
+        logv, log1mv, loglogv, logw = nodes
+        _, log_lam_x = _log_latent_transform(logv, loglogv, alpha)
+        return logw + (a - 1.0) * logv + (b - 1.0) * log1mv + r * log_lam_x
+
+    log_integrals, rel = _tanh_sinh_log_integral(log_terms)
+    if not rel <= _TS_FAIL_RTOL:
+        raise SeriesConvergenceError(
+            f"moments of {dist}: the tanh-sinh rule did not converge (last two "
+            f"levels differ by {rel:.2g} relative)", partial=math.nan, terms=0)
+    return [math.exp(li - dist.log_beta_ab) for li in log_integrals]
+
+
+def moment_set(dist: BGE) -> MomentSet:
+    """The first four raw moments from one tanh-sinh pass over the latent
+    beta variate, with the central quantities derived from them."""
+    mu1, mu2, mu3, mu4 = (m / dist.lam ** r for r, m in
+                          zip((1, 2, 3, 4), _latent_moments(dist, (1, 2, 3, 4))))
     var = mu2 - mu1 * mu1
     if var <= 0.0:
         raise SeriesConvergenceError(
-            f"moment series produced non-positive variance {var}", var, 0)
+            f"moments produced non-positive variance {var}", var, 0)
     m3 = mu3 - 3.0 * mu1 * mu2 + 2.0 * mu1 ** 3
     m4 = mu4 - 4.0 * mu1 * mu3 + 6.0 * mu1 ** 2 * mu2 - 3.0 * mu1 ** 4
     return MomentSet(mu1, mu2, mu3, mu4, var,
                      m3 / var ** 1.5, m4 / (var * var))
 
 
-def skewness_kurtosis(dist: BGE, ctl: SeriesControl = DEFAULT_CONTROL) -> tuple:
+def skewness_kurtosis(dist: BGE) -> tuple:
     """Standardized third moment and (raw, non-excess) fourth moment."""
-    ms = moment_set(dist, ctl)
+    ms = moment_set(dist)
     return (ms.skewness, ms.kurtosis)
 
 
-def shannon_entropy(dist: BGE, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Differential entropy E[-log f(X)]."""
+def shannon_entropy(dist: BGE) -> float:
+    """Differential entropy E[-log f(X)], with E[lam X] taken by the
+    latent-variate rule of ``moment_set``."""
     a, b, lam, alpha = dist.a, dist.b, dist.lam, dist.alpha
-    mu1 = raw_moment(dist, 1, ctl)
+    (lam_mu1,) = _latent_moments(dist, (1,))
     psi = specfun.digamma
-    return (-math.log(alpha * lam) + specfun.log_beta(a, b) + lam * mu1
+    return (-math.log(alpha * lam) + specfun.log_beta(a, b) + lam_mu1
             + (1.0 / alpha - a) * (psi(a) - psi(a + b))
             - (b - 1.0) * (psi(b) - psi(a + b)))

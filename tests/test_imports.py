@@ -42,3 +42,18 @@ def test_order_stat_moment_loads_no_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.split() == ["True", "False"]
+
+
+def test_moments_and_sweep_load_no_scipy_integrate_or_special():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import io, sys; import bgedist.cli; from bgedist import BGE; "
+            "from bgedist.series import moment_set, shannon_entropy, skewness_kurtosis; "
+            "d = BGE(2, 0.35, 1, 1.5); moment_set(d); skewness_kurtosis(d); shannon_entropy(d); "
+            "bgedist.cli.main(['curve', '--params', '2,3,1,1.5', '--sweep', 'b', "
+            "'--grid', '0.35:2.35:6'], out=io.StringIO()); "
+            "print(' '.join(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == ""

@@ -1,6 +1,8 @@
 """Series expansions against the incomplete-beta forms and quadrature."""
 
+import itertools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +15,7 @@ from bgedist.series import (DEFAULT_CONTROL, SeriesControl, SeriesConvergenceErr
                             _moment_sums, cdf_series, closed_form_cdf_integer,
                             ge_raw_moment, mgf, moment_set, pdf_mixture,
                             raw_moment, shannon_entropy, skewness_kurtosis)
+from test_order_stats import mp_order_stat_moment
 
 
 def quad_moment(dist, r):
@@ -229,9 +232,9 @@ class TestMoments:
         assert all(ev.terms > 128 and (ev.terms - 1) % 32 == 0 for ev in evals)
         ms = moment_set(d)
         for r in (1, 2, 3, 4):
-            mu = getattr(ms, f"mu{r}")
-            assert mu == raw_moment(d, r)
-            assert mu == pytest.approx(mp_moment(params, r), rel=1e-8)
+            want = mp_moment(params, r)
+            assert raw_moment(d, r) == pytest.approx(want, rel=1e-8)
+            assert getattr(ms, f"mu{r}") == pytest.approx(want, rel=1e-12)
 
     def test_exponential_skew_kurt_exact(self):
         skew, kurt = skewness_kurtosis(BGE.exponential(1.7))
@@ -344,6 +347,48 @@ class TestEntropy:
         vals = -d.logpdf(draws)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(shannon_entropy(d) - vals.mean()) < 3.0 * se
+
+
+def mp_entropy(params, mu1):
+    """The entropy formula in mpmath around a given mean."""
+    with mp.workdps(20):
+        a, b, lam, alpha = map(mp.mpf, params)
+        return float(-mp.log(alpha * lam) + mp.log(mp.beta(a, b)) + lam * mu1
+                     + (1 / alpha - a) * (mp.digamma(a) - mp.digamma(a + b))
+                     - (b - 1) * (mp.digamma(b) - mp.digamma(a + b)))
+
+
+class TestLatentMoments:
+    """``moment_set`` and the entropy mean against mpmath, at points where
+    the real-b series was up to 8.6e-3 off (b < 0.026) or raised (b = 93)."""
+
+    @pytest.mark.parametrize("params", [
+        (1.1645788635323704, 0.011171851377448676, 3.409653146991546, 0.430616362199317),
+        (15.629259924721465, 0.011367036351809601, 59.38539695139428, 30.737897468028287),
+        (0.122, 6.284, 22.78, 0.0946),
+        (0.02, 0.02, 1.0, 0.5),                   # mean 24.6826315773593
+        (0.4125, 93.4655, 0.92271, 22.6124),
+    ])
+    def test_against_mpmath(self, params):
+        if params[1] > 50.0:
+            # mp_moment's [0, 1, inf] breakpoints leave it 4e-11 off at b = 93
+            want = [mp_order_stat_moment(params, 1, 1, r) for r in (1, 2, 3, 4)]
+        else:
+            want = [mp_moment(params, r) for r in (1, 2, 3, 4)]
+        d = BGE(*params)
+        ms = moment_set(d)
+        assert [ms.mu1, ms.mu2, ms.mu3, ms.mu4] == pytest.approx(want, rel=1e-10)
+        assert shannon_entropy(d) == pytest.approx(mp_entropy(params, want[0]), rel=1e-10)
+
+    @pytest.mark.parametrize("signs", list(itertools.product((-1.0, 1.0), repeat=4)))
+    def test_box_corners(self, signs):
+        d = BGE(*(math.exp(4.5 * s) for s in signs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ms = moment_set(d)
+            h = shannon_entropy(d)
+        assert all(math.isfinite(v) for v in (*vars(ms).values(), h)), (ms, h)
+        assert ms.variance > 0.0
 
 
 class TestExpectedLogIdentity:
