@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .datasets import GLASS_FIBRE_REFERENCE, glass_fibre_sample
+from .datasets import GLASS_FIBRE_REFERENCE, GLASS_FIBRE_TOLERANCES, glass_fibre_sample
 from .distribution import BGE, Sample
 from .inference import (MODEL_FREE_PARAMS, FitResult, _fmt, confidence_intervals,
                         fit_mle, fit_result_kv, lr_from_fits, lr_result_kv)
@@ -228,37 +228,31 @@ def cmd_reproduce(args, out) -> int:
     def row(label, value, target, verdict):
         print(f"{label:<25} {_fmt(value):<15} {_fmt(target):<15} {verdict}", file=out)
 
-    ge = fits["ge"].params
-    row("ge.lambda", ge.lam, ref["ge"]["lambda"], _check_rel(ge.lam, ref["ge"]["lambda"], 0.01))
-    row("ge.alpha", ge.alpha, ref["ge"]["alpha"], _check_rel(ge.alpha, ref["ge"]["alpha"], 0.01))
-    row("ge.loglik", fits["ge"].loglik, ref["ge"]["loglik"],
-        _check(fits["ge"].loglik, ref["ge"]["loglik"], 0.02))
+    tol = GLASS_FIBRE_TOLERANCES
+    est = {m: dict(zip(("a", "b", "lambda", "alpha"), fit.params.params_tuple()))
+           for m, fit in fits.items()}
+    for m, names in (("ge", ("lambda", "alpha")), ("be", ("a", "b", "lambda"))):
+        for name in names:
+            row(f"{m}.{name}", est[m][name], ref[m][name],
+                _check_rel(est[m][name], ref[m][name], tol[m]["rel"]))
+        row(f"{m}.loglik", fits[m].loglik, ref[m]["loglik"],
+            _check(fits[m].loglik, ref[m]["loglik"], tol[m]["loglik"]))
 
-    be = fits["be"].params
-    row("be.a", be.a, ref["be"]["a"], _check_rel(be.a, ref["be"]["a"], 0.02))
-    row("be.b", be.b, ref["be"]["b"], _check_rel(be.b, ref["be"]["b"], 0.02))
-    row("be.lambda", be.lam, ref["be"]["lambda"], _check_rel(be.lam, ref["be"]["lambda"], 0.02))
-    row("be.loglik", fits["be"].loglik, ref["be"]["loglik"],
-        _check(fits["be"].loglik, ref["be"]["loglik"], 0.05))
-
-    bge = fits["bge"].params
-    ll = fits["bge"].loglik
-    ok = "pass" if (ll >= -15.6495 and abs(ll - ref["bge"]["loglik"]) <= 0.05) else "FAIL"
+    ll, t = fits["bge"].loglik, tol["bge"]
+    ok = ("pass" if (ll >= t["loglik_floor"] and abs(ll - ref["bge"]["loglik"]) <= t["loglik"])
+          else "FAIL")
     row("bge.loglik", ll, ref["bge"]["loglik"], ok)
-    for name, attr in (("a", "a"), ("b", "b"), ("lambda", "lam"), ("alpha", "alpha")):
-        value = getattr(bge, attr)
-        row(f"bge.{name}", value, ref["bge"][name], _check_rel(value, ref["bge"][name], 0.10))
+    for name, value in est["bge"].items():
+        row(f"bge.{name}", value, ref["bge"][name], _check_rel(value, ref["bge"][name], t["rel"]))
 
-    row("lr.be_vs_bge", w_be.statistic, ref["lr"]["be_vs_bge"]["statistic"],
-        _check(w_be.statistic, ref["lr"]["be_vs_bge"]["statistic"], 0.1))
-    pt = ref["lr"]["be_vs_bge"]["p_value"]
-    verdict = "pass" if pt / 2 <= w_be.p_value <= pt * 2 else "FAIL"
-    row("lr.be_vs_bge.p", w_be.p_value, pt, verdict)
-    row("lr.ge_vs_bge", w_ge.statistic, ref["lr"]["ge_vs_bge"]["statistic"],
-        _check(w_ge.statistic, ref["lr"]["ge_vs_bge"]["statistic"], 0.1))
-    pt = ref["lr"]["ge_vs_bge"]["p_value"]
-    verdict = "pass" if pt / 2 <= w_ge.p_value <= pt * 2 else "FAIL"
-    row("lr.ge_vs_bge.p", w_ge.p_value, pt, verdict)
+    t = tol["lr"]
+    for key, w in (("be_vs_bge", w_be), ("ge_vs_bge", w_ge)):
+        target = ref["lr"][key]
+        row(f"lr.{key}", w.statistic, target["statistic"],
+            _check(w.statistic, target["statistic"], t["statistic"]))
+        pt = target["p_value"]
+        verdict = "pass" if pt / t["p_factor"] <= w.p_value <= pt * t["p_factor"] else "FAIL"
+        row(f"lr.{key}.p", w.p_value, pt, verdict)
 
     print("", file=out)
     for m in ("ge", "be", "bge"):

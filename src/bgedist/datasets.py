@@ -12,7 +12,8 @@ import numpy as np
 
 from .distribution import Sample
 
-__all__ = ["GLASS_FIBRE_STRENGTHS", "glass_fibre_sample", "GLASS_FIBRE_REFERENCE"]
+__all__ = ["GLASS_FIBRE_STRENGTHS", "glass_fibre_sample", "GLASS_FIBRE_REFERENCE",
+           "GLASS_FIBRE_TOLERANCES"]
 
 GLASS_FIBRE_STRENGTHS = (
     0.55, 0.93, 1.25, 1.36, 1.49, 1.52, 1.58, 1.61, 1.64, 1.68, 1.73, 1.81, 2.00,
@@ -39,4 +40,16 @@ GLASS_FIBRE_REFERENCE = {
     "ge": {"lambda": 2.6105, "alpha": 31.3032, "loglik": -31.3834},
     "lr": {"be_vs_bge": {"statistic": 17.0550, "p_value": 3.63e-5},
            "ge_vs_bge": {"statistic": 31.5678, "p_value": 1.39e-7}},
+}
+
+#: Tolerances at which a glass-fibre fit is compared with
+#: GLASS_FIBRE_REFERENCE: "rel" relative on every parameter, "loglik"
+#: and "statistic" absolute, "loglik_floor" the lowest accepted BGE
+#: loglik, and "p_factor" the factor by which an LR p-value may differ
+#: from the published one either way.
+GLASS_FIBRE_TOLERANCES = {
+    "ge": {"rel": 0.01, "loglik": 0.02},
+    "be": {"rel": 0.02, "loglik": 0.05},
+    "bge": {"rel": 0.10, "loglik": 0.05, "loglik_floor": -15.6495},
+    "lr": {"statistic": 0.1, "p_factor": 2},
 }

@@ -2,12 +2,11 @@
 
 The direct formula (parent pdf/cdf/survival composed with the beta
 kernel of ranks) is the normative implementation.  The mixture
-expansions, which rewrite the order-statistic density as a signed
-combination of BGE densities with shifted first shape parameter, are
-provided for reconciliation: the literature form of their coefficients
-does not reduce correctly in edge cases, so the expansion supports
-several coefficient readings and the test suite adjudicates them
-against the direct formula (see errata.json at the repository root).
+expansions rewrite the order-statistic density as a signed combination
+of BGE densities with shifted first shape parameter a*(k+i) + sum(m).
+The printed form of their coefficients does not reduce correctly in
+edge cases; the shifted form used here agrees with the direct formula
+(see errata.json at the repository root).
 
 Moments are expectations over the latent Beta(a, b) variate, summed in
 log space by the tanh-sinh rule that the expected information uses
@@ -33,19 +32,11 @@ __all__ = [
     "OrderStatIndex",
     "MixtureTermBudget",
     "MixtureBudgetError",
-    "COEFFICIENT_READINGS",
     "order_stat_pdf_direct",
     "order_stat_pdf_mixture",
     "order_stat_moment",
     "order_stat_mgf",
 ]
-
-#: Supported readings of the mixture-coefficient formula.  "shifted"
-#: uses the component shape a*(k+i) + sum(m); "printed" keeps the
-#: literature form alpha*(a*(i+1) + sum(m)); "unscaled_printed" drops
-#: only the alpha factor from the printed form.
-COEFFICIENT_READINGS = ("shifted", "printed", "unscaled_printed")
-
 
 class MixtureBudgetError(RuntimeError):
     """Raised when the multi-index truncation budget is exhausted."""
@@ -118,15 +109,10 @@ def order_stat_pdf_direct(dist: BGE, idx: OrderStatIndex, x: float) -> float:
     return math.exp(log_terms)
 
 
-def _component_shape(reading: str, a: float, alpha: float, i: int, k: int, msum: int) -> float:
-    if reading == "shifted":
-        return a * (k + i) + msum
-    if reading == "printed":
-        return alpha * (a * (i + 1) + msum)
-    if reading == "unscaled_printed":
-        return a * (i + 1) + msum
-    raise ValueError(f"unknown coefficient reading {reading!r}; "
-                     f"expected one of {COEFFICIENT_READINGS}")
+def _component_shape(a: float, alpha: float, i: int, k: int, msum: int) -> float:
+    """First shape a*(k+i) + sum(m) of a mixture component; the printed
+    alpha*(a*(i+1) + sum(m)) fails the i = n = 1 reduction."""
+    return a * (k + i) + msum
 
 
 def _log_delta_common(dist: BGE, idx: OrderStatIndex, k: int, a_star: float) -> float:
@@ -137,8 +123,7 @@ def _log_delta_common(dist: BGE, idx: OrderStatIndex, k: int, a_star: float) -> 
             - specfun.log_beta(i, n - i + 1))
 
 
-def _mixture_terms_integer(dist: BGE, idx: OrderStatIndex, reading: str,
-                           b_int: int, evaluate):
+def _mixture_terms_integer(dist: BGE, idx: OrderStatIndex, b_int: int, evaluate):
     """Yield delta * evaluate(component) over the finite integer-b sums."""
     a, alpha = dist.a, dist.alpha
     i, n = idx.i, idx.n
@@ -146,7 +131,7 @@ def _mixture_terms_integer(dist: BGE, idx: OrderStatIndex, reading: str,
         length = k + i - 1
         for tup in itertools.product(range(b_int), repeat=length):
             msum = sum(tup)
-            a_star = _component_shape(reading, a, alpha, i, k, msum)
+            a_star = _component_shape(a, alpha, i, k, msum)
             logd = _log_delta_common(dist, idx, k, a_star)
             for m in tup:
                 logd += math.log(math.comb(b_int - 1, m)) - math.log(a + m)
@@ -166,8 +151,8 @@ def _compositions(total: int, length: int, cap: int):
             yield (head,) + rest
 
 
-def _mixture_sum_real(dist: BGE, idx: OrderStatIndex, reading: str,
-                      budget: MixtureTermBudget, ctl: SeriesControl, evaluate) -> float:
+def _mixture_sum_real(dist: BGE, idx: OrderStatIndex, budget: MixtureTermBudget,
+                      evaluate) -> float:
     """Real non-integer b: enumerate multi-indices by total degree."""
     a, b, alpha = dist.a, dist.b, dist.alpha
     i, n = idx.i, idx.n
@@ -182,7 +167,7 @@ def _mixture_sum_real(dist: BGE, idx: OrderStatIndex, reading: str,
             shell = 0.0
             for tup in _compositions(degree, length, budget.per_index_cap):
                 msum = degree
-                a_star = _component_shape(reading, a, alpha, i, k, msum)
+                a_star = _component_shape(a, alpha, i, k, msum)
                 logd = _log_delta_common(dist, idx, k, a_star) + (k + i - 1) * math.lgamma(b)
                 sign = 1.0 if (k + msum) % 2 == 0 else -1.0
                 for m in tup:
@@ -218,26 +203,22 @@ def _mixture_sum_real(dist: BGE, idx: OrderStatIndex, reading: str,
 
 
 def _mixture_value(dist: BGE, idx: OrderStatIndex, evaluate,
-                   budget: MixtureTermBudget, ctl: SeriesControl, reading: str) -> float:
+                   budget: MixtureTermBudget, ctl: SeriesControl) -> float:
     b_int = ctl.integer_b(dist.b)
     if b_int is not None:
-        return math.fsum(_mixture_terms_integer(dist, idx, reading, b_int, evaluate))
-    return _mixture_sum_real(dist, idx, reading, budget, ctl, evaluate)
+        return math.fsum(_mixture_terms_integer(dist, idx, b_int, evaluate))
+    return _mixture_sum_real(dist, idx, budget, evaluate)
 
 
 def order_stat_pdf_mixture(dist: BGE, idx: OrderStatIndex, x: float,
                            budget: MixtureTermBudget = DEFAULT_BUDGET,
-                           ctl: SeriesControl = DEFAULT_CONTROL,
-                           reading: str = "shifted") -> float:
-    """Order-statistic density by the delta-weighted component expansion.
-
-    The default "shifted" reading is the one validated against the
-    direct formula; the alternates are retained for the reconciliation
-    report.
-    """
+                           ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+    """Order-statistic density by the delta-weighted component expansion,
+    with the shifted component shapes validated against the direct
+    formula."""
     if x <= 0.0:
         raise ValueError(f"order_stat_pdf_mixture requires x > 0, got {x}")
-    return _mixture_value(dist, idx, lambda comp: comp.pdf(x), budget, ctl, reading)
+    return _mixture_value(dist, idx, lambda comp: comp.pdf(x), budget, ctl)
 
 
 def _log_beta_cdf_pair(a: float, b: float, log_beta_ab: float, logv, log1mv):
@@ -268,8 +249,7 @@ def _log_beta_cdf_pair(a: float, b: float, log_beta_ab: float, logv, log1mv):
 def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int,
                       method: str = "quadrature",
                       budget: MixtureTermBudget = DEFAULT_BUDGET,
-                      ctl: SeriesControl = DEFAULT_CONTROL,
-                      reading: str = "shifted") -> float:
+                      ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """E[X_{i:n}^r] for r in 1..4.
 
     "quadrature" (default) takes the moment as an expectation over the
@@ -288,7 +268,7 @@ def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int,
         raise ValueError(f"order_stat_moment supports r in 1..4, got {r}")
     if method == "mixture":
         return _mixture_value(dist, idx, lambda comp: raw_moment(comp, r, ctl),
-                              budget, ctl, reading)
+                              budget, ctl)
     if method != "quadrature":
         raise ValueError(f"method must be 'quadrature' or 'mixture', got {method!r}")
     a, b, alpha = dist.a, dist.b, dist.alpha
@@ -318,9 +298,8 @@ def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int,
 
 def order_stat_mgf(dist: BGE, idx: OrderStatIndex, t: float,
                    budget: MixtureTermBudget = DEFAULT_BUDGET,
-                   ctl: SeriesControl = DEFAULT_CONTROL,
-                   reading: str = "shifted") -> float:
+                   ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Mgf of X_{i:n} at t < lam as a delta-weighted sum of component mgfs."""
     if not (t < dist.lam):
         raise ValueError(f"order_stat_mgf requires t < lam = {dist.lam}, got t = {t}")
-    return _mixture_value(dist, idx, lambda comp: mgf(comp, t, ctl), budget, ctl, reading)
+    return _mixture_value(dist, idx, lambda comp: mgf(comp, t, ctl), budget, ctl)

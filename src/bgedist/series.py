@@ -140,30 +140,16 @@ def _scaled_terms(coef: np.ndarray, log_scale: float, lp: np.ndarray) -> np.ndar
         return np.ldexp(coef * np.exp((log_scale - e2 * _LN2) + lp), e2)
 
 
-def _first_result(results: list) -> list | None:
-    """The finished rows in order once every row is decided; raises the
-    lowest row's failure as soon as all rows before it have succeeded."""
-    for res in results:
-        if res is None:
-            return None
-        if isinstance(res, Exception):
-            raise res
-    return results
-
-
 def _sum_real_b(b: float,
                 log_payload: Callable[[np.ndarray], np.ndarray],
                 ctl: SeriesControl,
                 log_prefactor: float,
-                whats: tuple) -> list:
+                what: str) -> SeriesEval:
     """Sum_{j>=0} (-1)^j payload(j) / (Gamma(b-j) j!) times a prefactor.
 
     ``log_payload`` maps an array of j (real values accepted) to the
-    logs of the (positive) payloads, -inf for a vanishing term: an
-    array shaped like j, or one row per entry of ``whats`` when several
-    series sharing b and the prefactor are summed together.  Each row
-    keeps its own exits and error bound; one ``SeriesEval`` per row is
-    returned, and the first failing row's error is raised.
+    logs of the (positive) payloads, shaped like j, -inf for a vanishing
+    term; ``what`` names the series in error messages.
 
     Terms alternate against the sign of 1/Gamma(b-j); once j exceeds b
     the sign is constant.  Terms are computed in blocks of j whose size
@@ -176,29 +162,25 @@ def _sum_real_b(b: float,
       |term(x)| = prefactor * payload(x) * Gamma(x+1-b) |sin(pi b)| /
       (pi Gamma(x+1)); this handles the slowly converging small-b case.
     """
-    rows = len(whats)
     log_scale = log_prefactor - math.lgamma(b)
     log_sin = math.log(abs(math.sin(math.pi * b))) - math.log(math.pi)
     j_min = min(int(math.ceil(b)) + 3, ctl.max_terms)
     h = _HISTORY
-    # the running sum and peak per row, and the last h magnitudes,
-    # signs and sub-tolerance flags carried into the next block
-    coef_before = 1.0
-    total = np.zeros(rows)
-    peak = np.zeros(rows)
-    mags = np.full((rows, h), np.nan)
-    signs = np.zeros((rows, h))
-    small = np.zeros((rows, h), dtype=bool)
-    results: list = [None] * rows
+    # the running sum and peak, and the last h magnitudes, signs and
+    # sub-tolerance flags carried into the next block
+    coef_before, total, peak = 1.0, 0.0, 0.0
+    mags = np.full(h, np.nan)
+    signs = np.zeros(h)
+    small = np.zeros(h, dtype=bool)
 
-    def tail_sum(k: int, j: int) -> float:
-        """Midpoint integral of row k's continuous term extension past j."""
+    def tail_sum(j: int) -> float:
+        """Midpoint integral of the continuous term extension past j."""
         import warnings
 
         from scipy.integrate import IntegrationWarning, quad
 
         def cont_mag(x: float) -> float:
-            lp = float(np.reshape(log_payload(x), rows)[k])
+            lp = float(log_payload(x))
             if lp == -math.inf:
                 return 0.0
             # lgamma(x+1-b) - lgamma(x+1) via the stable difference: the
@@ -226,22 +208,18 @@ def _sum_real_b(b: float,
     while j0 < ctl.max_terms:
         n = min(size, ctl.max_terms - j0)
         j = np.arange(j0, j0 + n, dtype=float)
-        lp = np.reshape(log_payload(j), (rows, n))
         coef = _coefficients(b, j, coef_before)
-        term = _scaled_terms(coef, log_scale, lp)
-        over = np.isinf(term)
-        run = np.cumsum(np.concatenate((total[:, None], term), axis=1), axis=1)[:, 1:]
+        term = _scaled_terms(coef, log_scale, log_payload(j))
+        run = np.cumsum(np.concatenate(([total], term)))[1:]
         mag = np.abs(term)
-        run_peak = np.maximum.accumulate(
-            np.concatenate((peak[:, None], mag), axis=1), axis=1)[:, 1:]
-        # column h + i of the extended arrays is term j0 + i
-        m_ext = np.concatenate((mags, mag), axis=1)
-        s_ext = np.concatenate((signs, np.sign(term)), axis=1)
-        k_ext = np.concatenate((small, mag < ctl.term_tol), axis=1)
-        s0, s1, s2 = s_ext[:, h - 2:-2], s_ext[:, h - 1:-1], s_ext[:, h:]
-        exit_small = (k_ext[:, h - 2:-2] & k_ext[:, h - 1:-1] & k_ext[:, h:]
-                      & (j + 1 >= j_min))
-        m8 = m_ext[:, :n]
+        run_peak = np.maximum.accumulate(np.concatenate(([peak], mag)))[1:]
+        # entry h + i of the extended arrays is term j0 + i
+        m_ext = np.concatenate((mags, mag))
+        s_ext = np.concatenate((signs, np.sign(term)))
+        k_ext = np.concatenate((small, mag < ctl.term_tol))
+        s0, s1, s2 = s_ext[h - 2:-2], s_ext[h - 1:-1], s_ext[h:]
+        exit_small = k_ext[h - 2:-2] & k_ext[h - 1:-1] & k_ext[h:] & (j + 1 >= j_min)
+        m8 = m_ext[:n]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             d = np.log(m8 / mag) / 8.0
             exit_flat = (((j >= 128) & (j % 32 == 0) & (j > b + 10))
@@ -250,69 +228,49 @@ def _sum_real_b(b: float,
                          & (d * mag / 8.0 < np.maximum(50.0 * ctl.term_tol,
                                                        1e-10 * np.abs(run))))
         exits = exit_small | exit_flat
-        for k in range(rows):
-            if results[k] is not None:
-                continue
-            stop = int(np.argmax(exits[k])) if exits[k].any() else n
-            if over[k, :stop + 1].any():
-                results[k] = OverflowError("math range error")
-                continue
-            if stop == n:
-                continue
+        stop = int(np.argmax(exits)) if exits.any() else n
+        if np.isinf(term[:stop + 1]).any():
+            raise OverflowError("math range error")
+        if stop < n:
             i, jj = stop, j0 + stop
-            value, peak_k = float(run[k, i]), float(run_peak[k, i])
-            try:
-                if exit_small[k, i]:
-                    _cancellation_guard(value, peak_k, whats[k])
-                    m0, m1, m2 = (float(v) for v in m_ext[k, h + i - 2:h + i + 1])
-                    alternating = (s0[k, i] * s1[k, i] < 0 and s1[k, i] * s2[k, i] < 0
-                                   and m0 >= m1 >= m2)
-                    bound = m2 if alternating else m0 + m1 + m2
-                    # cancellation against the peak term caps the
-                    # achievable accuracy in doubles regardless of truncation
-                    results[k] = SeriesEval(value, bound + peak_k * 1e-15 + ctl.term_tol, jj + 1)
-                else:
-                    # midpoint-rule remainder for the one-signed tail is
-                    # |g'(X0)|/24 ~ d * t_j / 24 with d the local log-slope
-                    mj = float(mag[k, i])
-                    est_err = math.log(float(m8[k, i]) / mj) / 8.0 * mj / 8.0
-                    tail = tail_sum(k, jj)
-                    value += float(s2[k, i]) * tail
-                    _cancellation_guard(value, peak_k, whats[k])
-                    results[k] = SeriesEval(value, est_err + 1e-9 * tail + peak_k * 1e-15
-                                            + ctl.term_tol, jj + 1)
-            except SeriesConvergenceError as exc:
-                results[k] = exc
-        done = _first_result(results)
-        if done is not None:
-            return done
-        coef_before, total, peak = coef[-1], run[:, -1], run_peak[:, -1]
-        mags, signs, small = m_ext[:, -h:], s_ext[:, -h:], k_ext[:, -h:]
+            value, peak_i = float(run[i]), float(run_peak[i])
+            if exit_small[i]:
+                _cancellation_guard(value, peak_i, what)
+                m0, m1, m2 = (float(v) for v in m_ext[h + i - 2:h + i + 1])
+                alternating = (s0[i] * s1[i] < 0 and s1[i] * s2[i] < 0 and m0 >= m1 >= m2)
+                bound = m2 if alternating else m0 + m1 + m2
+                # cancellation against the peak term caps the
+                # achievable accuracy in doubles regardless of truncation
+                return SeriesEval(value, bound + peak_i * 1e-15 + ctl.term_tol, jj + 1)
+            # midpoint-rule remainder for the one-signed tail is
+            # |g'(X0)|/24 ~ d * t_j / 24 with d the local log-slope
+            mj = float(mag[i])
+            est_err = math.log(float(m8[i]) / mj) / 8.0 * mj / 8.0
+            tail = tail_sum(jj)
+            value += float(s2[i]) * tail
+            _cancellation_guard(value, peak_i, what)
+            return SeriesEval(value, est_err + 1e-9 * tail + peak_i * 1e-15 + ctl.term_tol,
+                              jj + 1)
+        coef_before, total, peak = coef[-1], run[-1], run_peak[-1]
+        mags, signs, small = m_ext[-h:], s_ext[-h:], k_ext[-h:]
         j0 += n
         size = min(2 * size, _BLOCK_MAX)
-    for k in range(rows):
-        if results[k] is None:
-            results[k] = SeriesConvergenceError(
-                f"{whats[k]}: series did not meet term_tol={ctl.term_tol} "
-                f"within {ctl.max_terms} terms", partial=float(total[k]), terms=ctl.max_terms)
-    return _first_result(results)
+    raise SeriesConvergenceError(
+        f"{what}: series did not meet term_tol={ctl.term_tol} "
+        f"within {ctl.max_terms} terms", partial=float(total), terms=ctl.max_terms)
 
 
 def _sum_integer_b(b_int: int,
                    log_payload: Callable[[np.ndarray], np.ndarray],
-                   log_prefactor: float) -> list:
-    """Finite binomial counterpart: sum_{j=0}^{b-1} C(b-1,j)(-1)^j payload(j),
-    one ``SeriesEval`` per payload row."""
+                   log_prefactor: float) -> SeriesEval:
+    """Finite binomial counterpart: sum_{j=0}^{b-1} C(b-1,j)(-1)^j payload(j)."""
     j = np.arange(b_int, dtype=float)
-    term = _scaled_terms(_coefficients(b_int, j, 1.0), log_prefactor,
-                         np.reshape(log_payload(j), (-1, b_int)))
+    term = _scaled_terms(_coefficients(b_int, j, 1.0), log_prefactor, log_payload(j))
     if np.isinf(term).any():
         raise OverflowError("math range error")
-    out = []
-    for total, peak in zip(np.cumsum(term, axis=1)[:, -1], np.abs(term).max(axis=1)):
-        _cancellation_guard(total, peak, "integer-b sum")
-        out.append(SeriesEval(float(total), float(peak) * 1e-15, b_int))
-    return out
+    total, peak = np.cumsum(term)[-1], np.abs(term).max()
+    _cancellation_guard(total, peak, "integer-b sum")
+    return SeriesEval(float(total), float(peak) * 1e-15, b_int)
 
 
 def cdf_series(dist: BGE, x: float, ctl: SeriesControl = DEFAULT_CONTROL,
@@ -336,10 +294,10 @@ def cdf_series(dist: BGE, x: float, ctl: SeriesControl = DEFAULT_CONTROL,
 
     b_int = ctl.integer_b(b)
     if b_int is not None:
-        res = _sum_integer_b(b_int, payload, -specfun.log_beta(a, b_int))[0]
+        res = _sum_integer_b(b_int, payload, -specfun.log_beta(a, b_int))
     else:
         pref = math.lgamma(a + b) - math.lgamma(a)
-        res = _sum_real_b(b, payload, ctl, pref, ("cdf_series",))[0]
+        res = _sum_real_b(b, payload, ctl, pref, "cdf_series")
     value = min(max(res.value, 0.0), 1.0)
     res = SeriesEval(value, res.error_bound, res.terms)
     return res if full_output else res.value
@@ -395,9 +353,9 @@ def pdf_mixture(dist: BGE, x: float, ctl: SeriesControl = DEFAULT_CONTROL,
 
     b_int = ctl.integer_b(b)
     if b_int is not None:
-        res = _sum_integer_b(b_int, payload, base)[0]
+        res = _sum_integer_b(b_int, payload, base)
     else:
-        res = _sum_real_b(b, payload, ctl, base + math.lgamma(b), ("pdf_mixture",))[0]
+        res = _sum_real_b(b, payload, ctl, base + math.lgamma(b), "pdf_mixture")
     value = max(res.value, 0.0)
     res = SeriesEval(value, res.error_bound, res.terms)
     return res if full_output else res.value
@@ -423,10 +381,10 @@ def mgf(dist: BGE, t: float, ctl: SeriesControl = DEFAULT_CONTROL,
     b_int = ctl.integer_b(b)
     if b_int is not None:
         res = _sum_integer_b(b_int, payload,
-                             math.log(alpha) - specfun.log_beta(a, b_int))[0]
+                             math.log(alpha) - specfun.log_beta(a, b_int))
     else:
         pref = math.log(alpha) + math.lgamma(b) - specfun.log_beta(a, b)
-        res = _sum_real_b(b, payload, ctl, pref, ("mgf",))[0]
+        res = _sum_real_b(b, payload, ctl, pref, "mgf")
     return res if full_output else res.value
 
 
@@ -446,7 +404,7 @@ def _ge_moment_rows(theta) -> np.ndarray:
 
     Built from polygamma differences at theta+1 and 1, with
     psi^(m)(x) = (-1)^(m+1) m! zeta(m+1, x) (Abramowitz & Stegun 6.4.10);
-    these are the per-term quantities entering the four-moment series.
+    these are the per-term quantities entering the moment series.
     """
     from scipy.special import psi, zeta
 
@@ -467,27 +425,26 @@ def ge_raw_moment(theta, r: int):
     return _ge_moment_rows(theta)[r - 1]
 
 
-def _moment_sums(dist: BGE, orders: tuple, ctl: SeriesControl) -> list:
-    """Unscaled raw-moment series for each r in ``orders``, summed in one
-    pass with the GE moments of all four orders computed once per block."""
+def _moment_sum(dist: BGE, r: int, ctl: SeriesControl) -> SeriesEval:
+    """Unscaled raw-moment series E[(lam X)^r]: GE component moments
+    weighted by the paper's coefficients."""
     a, b, alpha = dist.a, dist.b, dist.alpha
-    rows = [r - 1 for r in orders]
 
     def payload(j: np.ndarray) -> np.ndarray:
-        return (np.log(_ge_moment_rows(alpha * (a + j))) - np.log(a + j))[rows]
+        return np.log(ge_raw_moment(alpha * (a + j), r)) - np.log(a + j)
 
     b_int = ctl.integer_b(b)
     if b_int is not None:
         return _sum_integer_b(b_int, payload, -specfun.log_beta(a, b_int))
     pref = math.lgamma(a + b) - math.lgamma(a)
-    return _sum_real_b(b, payload, ctl, pref, tuple(f"raw_moment(r={r})" for r in orders))
+    return _sum_real_b(b, payload, ctl, pref, f"raw_moment(r={r})")
 
 
 def raw_moment(dist: BGE, r: int, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """r-th raw moment, r in 1..4, via the weighted-GE-moment series."""
     if r not in (1, 2, 3, 4):
         raise ValueError(f"raw_moment supports r in 1..4, got {r}")
-    return _moment_sums(dist, (r,), ctl)[0].value / dist.lam ** r
+    return _moment_sum(dist, r, ctl).value / dist.lam ** r
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Everything the rest of the package needs from classical analysis lives
 here: log-beta, the regularized incomplete beta ratio and its inverse,
-polygamma functions, and the regularized upper incomplete gamma (for
-chi-square tail probabilities).  All functions are pure, deterministic
+the digamma and trigamma functions, and the regularized upper
+incomplete gamma (for chi-square tail probabilities).  All functions are pure, deterministic
 and thread-safe; none touch global state.  All are scalar except
 ``log_beta_array``, the elementwise log-beta of the series payloads.
 
@@ -11,8 +11,8 @@ and thread-safe; none touch global state.  All are scalar except
 ``chi2_sf`` are thin wrappers over ``scipy.special.betainc``,
 ``betaincinv`` and ``gammaincc``: they add the domain checks and the
 exact endpoints, and import scipy on first call so that importing the
-package stays cheap.  ``log_beta`` and the ``polygamma`` family stay
-hand-written.  Against mpmath, ``scipy.special.betaln`` loses about
+package stays cheap.  ``log_beta`` and ``polygamma`` (orders 0 and 1,
+the only ones the library calls) stay hand-written.  Against mpmath, ``scipy.special.betaln`` loses about
 1e-10 relative at b ~ 2e4 where ``log_beta`` holds 3e-14, and the
 maximum-likelihood fits are tuned on the present ``digamma`` and
 ``trigamma``: swapping them moves the L-BFGS-B iteration counts.
@@ -33,7 +33,6 @@ __all__ = [
     "polygamma",
     "digamma",
     "trigamma",
-    "tetragamma",
     "reg_gamma_upper",
     "chi2_sf",
 ]
@@ -146,32 +145,32 @@ def inc_beta_inverse(p: float, a: float, b: float) -> float:
     return float(betaincinv(a, b, p))
 
 
-# Bernoulli-number coefficients B_2k / (2k) for the digamma tail and
-# B_2k for the higher-order tails, k = 1..6.
+# Bernoulli numbers B_2k, k = 1..6, for the asymptotic tails (the
+# digamma tail takes B_2k / (2k)).
 _BERN2K = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730)
 _POLY_SHIFT = 10.0
 
 
 def polygamma(x: float, order: int = 0) -> float:
-    """Polygamma function psi^(order)(x) for order in {0, 1, 2, 3}.
+    """Polygamma function psi^(order)(x) for order 0 (digamma) or 1
+    (trigamma).
 
     Uses the ascending recurrence to shift the argument above 10 and
     evaluates the asymptotic (Bernoulli) series there.  Relative error
     is ~1e-12 across x in [1e-3, 1e6].
     """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"polygamma order must be in {{0, 1, 2, 3}}, got {order}")
+    if order not in (0, 1):
+        raise ValueError(f"polygamma order must be in {{0, 1}}, got {order}")
     if not (x > 0.0):
         raise ValueError(f"polygamma requires x > 0, got {x}")
 
     acc = 0.0
-    sign = -1.0 if order % 2 == 0 else 1.0  # sign of the recurrence term
     while x < _POLY_SHIFT:
-        # psi^(m)(x) = psi^(m)(x+1) + (-1)^m m! / x^(m+1)
+        # psi(x) = psi(x+1) - 1/x and psi'(x) = psi'(x+1) + 1/x^2
         if order == 0:
             acc -= 1.0 / x
         else:
-            acc += sign * math.factorial(order) / x ** (order + 1)
+            acc += 1.0 / x ** 2
         x += 1.0
 
     inv = 1.0 / x
@@ -182,23 +181,11 @@ def polygamma(x: float, order: int = 0) -> float:
         for k, b2k in enumerate(_BERN2K, start=1):
             s -= b2k / (2 * k) * term
             term *= inv2
-    elif order == 1:
+    else:
         s = inv + 0.5 * inv2
         term = inv2 * inv
         for b2k in _BERN2K:
             s += b2k * term
-            term *= inv2
-    elif order == 2:
-        s = -inv2 - inv2 * inv
-        term = inv2 * inv2
-        for k, b2k in enumerate(_BERN2K, start=1):
-            s -= b2k * (2 * k + 1) * term
-            term *= inv2
-    else:
-        s = 2.0 * inv2 * inv + 3.0 * inv2 * inv2
-        term = inv2 * inv2 * inv
-        for k, b2k in enumerate(_BERN2K, start=1):
-            s += b2k * (2 * k + 1) * (2 * k + 2) * term
             term *= inv2
     return acc + s
 
@@ -211,11 +198,6 @@ def digamma(x: float) -> float:
 def trigamma(x: float) -> float:
     """psi'(x)."""
     return polygamma(x, 1)
-
-
-def tetragamma(x: float) -> float:
-    """psi''(x)."""
-    return polygamma(x, 2)
 
 
 def reg_gamma_upper(s: float, x: float) -> float:

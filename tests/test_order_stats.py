@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bgedist import BGE
-from bgedist.order_stats import (COEFFICIENT_READINGS, MixtureBudgetError,
-                                 MixtureTermBudget, OrderStatIndex,
+from bgedist import BGE, order_stats
+from bgedist.order_stats import (MixtureBudgetError, MixtureTermBudget, OrderStatIndex,
                                  order_stat_mgf, order_stat_moment,
                                  order_stat_pdf_direct, order_stat_pdf_mixture)
 from bgedist.series import mgf, raw_moment
@@ -20,6 +19,17 @@ from bgedist.series import mgf, raw_moment
 REPORT_PATH = pathlib.Path(__file__).resolve().parent.parent / "reports" / "order_stat_reconciliation.txt"
 
 WIDE_BUDGET = MixtureTermBudget(per_index_cap=60, total_term_cap=500_000)
+
+#: Readings of the mixture component shape, swapped into
+#: ``order_stats._component_shape``.  "shifted" is the library's
+#: a*(k+i) + sum(m); "printed" keeps the literature form
+#: alpha*(a*(i+1) + sum(m)); "unscaled_printed" drops only the alpha
+#: factor from the printed form.
+READINGS = {
+    "shifted": order_stats._component_shape,
+    "printed": lambda a, alpha, i, k, msum: alpha * (a * (i + 1) + msum),
+    "unscaled_printed": lambda a, alpha, i, k, msum: a * (i + 1) + msum,
+}
 
 
 def integrate_order_pdf(dist, idx):
@@ -119,21 +129,17 @@ class TestMixture:
             order_stat_pdf_mixture(d, OrderStatIndex(2, 3), 1.0,
                                    budget=MixtureTermBudget(per_index_cap=2, total_term_cap=4))
 
-    def test_printed_reading_fails_unit_reduction(self):
+    def test_printed_reading_fails_unit_reduction(self, monkeypatch):
         # the published coefficient form does not reduce to the parent
         # density at i = n = 1; the shifted reading does
         d = BGE(1.7, 2.0, 1.0, 1.4)
         x = 0.8
         want = d.pdf(x)
-        shifted = order_stat_pdf_mixture(d, OrderStatIndex(1, 1), x, reading="shifted")
-        printed = order_stat_pdf_mixture(d, OrderStatIndex(1, 1), x, reading="printed")
+        shifted = order_stat_pdf_mixture(d, OrderStatIndex(1, 1), x)
+        monkeypatch.setattr(order_stats, "_component_shape", READINGS["printed"])
+        printed = order_stat_pdf_mixture(d, OrderStatIndex(1, 1), x)
         assert shifted == pytest.approx(want, rel=1e-11)
         assert abs(printed - want) > 0.1 * want
-
-    def test_unknown_reading_rejected(self):
-        with pytest.raises(ValueError):
-            order_stat_pdf_mixture(BGE(1, 2, 1, 1), OrderStatIndex(1, 1), 1.0,
-                                   reading="guess")
 
 
 class TestMoments:
@@ -174,8 +180,11 @@ def mp_order_stat_moment(params, i, n, r):
         a, b, lam, alpha = map(mp.mpf, params)
 
         def integrand(logv, log1mv, low):
-            # the beta cdf from its small argument, the other side by subtraction
-            if low:
+            # the beta cdf from its small argument, the other side by
+            # subtraction; at n = 1 both enter to the power 0
+            if n == 1:
+                cdf = sf = 1
+            elif low:
                 cdf = mp.betainc(a, b, 0, mp.exp(logv), regularized=True)
                 sf = 1 - cdf
             else:
@@ -279,19 +288,19 @@ class TestReconciliationReport:
         (BGE(0.9, 1.8, 1.4, 0.8), 1, 3, 0.6),
     ]
 
-    def test_adjudicate_and_emit(self):
+    def test_adjudicate_and_emit(self, monkeypatch):
         lines = ["# order-statistic mixture coefficient reconciliation",
                  "# direct formula is the reference; relative errors per reading",
-                 "# columns: a b lam alpha i n x direct " + " ".join(COEFFICIENT_READINGS)]
-        worst = {r: 0.0 for r in COEFFICIENT_READINGS}
+                 "# columns: a b lam alpha i n x direct " + " ".join(READINGS)]
+        worst = {r: 0.0 for r in READINGS}
         for dist, i, n, x in self.CASES:
             idx = OrderStatIndex(i, n)
             direct = order_stat_pdf_direct(dist, idx, x)
             row = [f"{v:.6g}" for v in (*dist.params_tuple(), i, n, x, direct)]
-            for reading in COEFFICIENT_READINGS:
+            for reading, shape in READINGS.items():
+                monkeypatch.setattr(order_stats, "_component_shape", shape)
                 try:
-                    val = order_stat_pdf_mixture(dist, idx, x, budget=WIDE_BUDGET,
-                                                 reading=reading)
+                    val = order_stat_pdf_mixture(dist, idx, x, budget=WIDE_BUDGET)
                     rel = abs(val - direct) / direct
                 except (MixtureBudgetError, OverflowError) as exc:
                     val, rel = float("nan"), float("inf")

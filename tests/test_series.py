@@ -8,11 +8,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import polygamma
 
 from bgedist import BGE
 from bgedist import specfun as sf
 from bgedist.series import (DEFAULT_CONTROL, SeriesControl, SeriesConvergenceError,
-                            _moment_sums, cdf_series, closed_form_cdf_integer,
+                            _moment_sum, cdf_series, closed_form_cdf_integer,
                             ge_raw_moment, mgf, moment_set, pdf_mixture,
                             raw_moment, shannon_entropy, skewness_kurtosis)
 from test_order_stats import mp_order_stat_moment
@@ -27,22 +28,6 @@ def quad_moment(dist, r):
                 0.0, 1.0, limit=400)[0]
     right = quad(lambda x: x ** r * dist.pdf(x), q, np.inf, limit=400)[0]
     return left + right
-
-
-def mp_moment(params, r):
-    """Independent oracle: E[X^r] by mpmath quadrature at 20 digits over
-    the Beta(a, b) variate V = 1 - e^(-s), where
-    E[X^r] = int_0^inf x(s)^r (1 - e^(-s))^(a-1) e^(-b s) ds / B(a, b)
-    and x(s) = -log(1 - V^(1/alpha)) / lam."""
-    with mp.workdps(20):
-        a, b, lam, alpha = map(mp.mpf, params)
-
-        def integrand(s):
-            logv = mp.log1p(-mp.exp(-s)) if s > 1 else mp.log(-mp.expm1(-s))
-            x = -mp.log(-mp.expm1(logv / alpha)) / lam
-            return x ** r * mp.exp((a - 1) * logv - b * s)
-
-        return float(mp.quad(integrand, [0, 1, mp.inf]) / mp.beta(a, b))
 
 
 class TestCdfSeries:
@@ -228,11 +213,11 @@ class TestMoments:
         # exit (at j + 1 terms, j >= 128 a multiple of 32), so its value
         # includes the tail integral
         d = BGE(*params)
-        evals = _moment_sums(d, (1, 2, 3, 4), DEFAULT_CONTROL)
-        assert all(ev.terms > 128 and (ev.terms - 1) % 32 == 0 for ev in evals)
         ms = moment_set(d)
         for r in (1, 2, 3, 4):
-            want = mp_moment(params, r)
+            ev = _moment_sum(d, r, DEFAULT_CONTROL)
+            assert ev.terms > 128 and (ev.terms - 1) % 32 == 0, (r, ev)
+            want = mp_order_stat_moment(params, 1, 1, r)
             assert raw_moment(d, r) == pytest.approx(want, rel=1e-8)
             assert getattr(ms, f"mu{r}") == pytest.approx(want, rel=1e-12)
 
@@ -254,7 +239,7 @@ class TestMoments:
         theta = 1.0
         c = sf.digamma(theta + 1) - sf.digamma(1.0)
         p = sf.trigamma(1.0) - sf.trigamma(theta + 1)
-        q2 = sf.tetragamma(1.0) - sf.tetragamma(theta + 1)
+        q2 = polygamma(2, 1.0) - polygamma(2, theta + 1)
         printed = (c * c + p) * (c * c + 3 * p) + 2 * c * c * p - 4 * c * q2
         assert printed == pytest.approx(18.0, abs=1e-9)
         assert ge_raw_moment(theta, 4) == pytest.approx(24.0, abs=1e-9)
@@ -283,7 +268,7 @@ class TestMoments:
         theta = 2.5
         c = sf.digamma(theta + 1) - sf.digamma(1.0)
         p = sf.trigamma(1.0) - sf.trigamma(theta + 1)
-        e_j = -c * (c * c + 3 * p) + sf.tetragamma(1.0) - sf.tetragamma(theta + 1)
+        e_j = -c * (c * c + 3 * p) + polygamma(2, 1.0) - polygamma(2, theta + 1)
         assert -e_j == pytest.approx(ge_raw_moment(theta, 3), rel=1e-12)
 
 
@@ -370,11 +355,7 @@ class TestLatentMoments:
         (0.4125, 93.4655, 0.92271, 22.6124),
     ])
     def test_against_mpmath(self, params):
-        if params[1] > 50.0:
-            # mp_moment's [0, 1, inf] breakpoints leave it 4e-11 off at b = 93
-            want = [mp_order_stat_moment(params, 1, 1, r) for r in (1, 2, 3, 4)]
-        else:
-            want = [mp_moment(params, r) for r in (1, 2, 3, 4)]
+        want = [mp_order_stat_moment(params, 1, 1, r) for r in (1, 2, 3, 4)]
         d = BGE(*params)
         ms = moment_set(d)
         assert [ms.mu1, ms.mu2, ms.mu3, ms.mu4] == pytest.approx(want, rel=1e-10)
