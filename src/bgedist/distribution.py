@@ -277,6 +277,10 @@ class BGE:
         if x == math.inf:
             return 1.0
         galpha = math.exp(self.alpha * self._log_u(x))
+        if galpha == 1.0:
+            # u^alpha rounds to 1 while the survival, at small b, can still
+            # be large: I_1(a, b) = 1 would drop it
+            return 1.0 - self.survival(x)
         return specfun.inc_beta_ratio(galpha, self.a, self.b)
 
     def survival(self, x: float) -> float:

@@ -1,19 +1,22 @@
 """Maximum-likelihood machinery for the BGE family and its sub-models.
 
 The likelihood is maximized in log-parameter space (all four parameters
-are positive) with the analytic score and a deterministic multi-start
-ladder.  Each distinct start runs once, and within a start the objective
-remembers the points it has computed, so a point met again is not
-recomputed.  The search domain is a documented box, |log theta_i| <= 4.5
-by default: on some datasets the likelihood increases without bound
-along a b -> infinity ridge on which the family degenerates to a
-generalized gamma limit, so an unbounded "MLE" does not exist.  Fits
-that terminate on the box are reported with ``converged=False`` and the
-active bounds listed in ``hit_bounds``.  The expected information takes
-its beta expectations from a tanh-sinh rule on cached nodes, so
-``inference`` never loads ``scipy.integrate``; ``scipy.optimize`` is
-imported by ``fit_mle`` on its first call, so importing the package does
-not load it.
+are positive) by a projected Newton method with a trust region on the
+analytic Hessian, from a deterministic multi-start ladder.  All starts
+of a fit advance together as the rows of one batch, whose
+log-likelihood, score and Hessian each pass takes from one broadcast
+kernel; the ladders of the nested sub-models run in the same batch
+and their optima seed the larger model, so a fit never ends below a
+model nested in it.  The search domain is a documented box,
+|log theta_i| <= 4.5 by default: on some datasets the likelihood
+increases without bound along a b -> infinity ridge on which the family
+degenerates to a generalized gamma limit, so an unbounded "MLE" does not
+exist.  Fits that terminate on the box are reported with
+``converged=False`` and the active bounds listed in ``hit_bounds``.  The
+expected information takes its beta expectations from a tanh-sinh rule
+on cached nodes, so ``inference`` loads neither ``scipy.integrate`` nor
+``scipy.optimize``; the fit takes psi and psi' from ``scipy.special``,
+imported on the first fit, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -79,10 +82,15 @@ def _as_values(data) -> np.ndarray:
 
 
 def _pieces(theta: np.ndarray, y: np.ndarray):
-    """Shared stable intermediates for likelihood and score, with the
-    parameters as Python floats, on which the scalar special functions
-    run faster than on numpy scalars."""
-    params = theta.tolist()
+    """Shared stable intermediates for likelihood, score and Hessian.
+
+    A 1-D ``theta`` gives the parameters as Python floats, on which the
+    scalar special functions run faster than on numpy scalars, and
+    arrays over y.  A (rows, 4) ``theta`` gives them as (rows, 1)
+    columns and arrays of shape (rows, n), each row bit for bit what
+    the 1-D call returns for it.
+    """
+    params = theta.tolist() if theta.ndim == 1 else list(theta.T[:, :, None])
     lam, alpha = params[2], params[3]
     z = lam * y
     logu = np.minimum(log1mexp(z), _LOGU_CLAMP)
@@ -118,6 +126,68 @@ def _loglik_score(theta: np.ndarray, y: np.ndarray):
     """(log-likelihood, score sum) from one pass of ``_pieces``."""
     pieces = _pieces(theta, y)
     return _loglik(pieces), _score_contrib(pieces, y).sum(axis=0)
+
+
+def _loglik_score_hessian(theta: np.ndarray, y: np.ndarray, logy: np.ndarray):
+    """Log-likelihood (rows,), score (rows, 4) and Hessian (rows, 4, 4)
+    in (a, b, lam, alpha) at each row of ``theta`` (rows, 4), from one
+    broadcast pass of ``_pieces``; ``logy`` is log(y).
+
+    The log-likelihood has the bits of ``log_likelihood`` at each row.
+    The score and Hessian take psi and psi' from ``scipy.special``.
+    With L = log u, L' = dL/dlam = y e^{-lam y}/u, L'' = -y^2 e^{-lam y}/u^2,
+    M = log(1 - u^alpha) and r = u^alpha/(1 - u^alpha), the second
+    derivatives need r(1 + r) = u^alpha/(1 - u^alpha)^2, which overflows
+    where u^alpha rounds near 1; it is only formed in log space, inside
+    its products with L^2, L L' and L'^2, which stay finite.
+    """
+    from scipy.special import psi, zeta
+
+    pieces = _pieces(theta, y)
+    (a, b, lam, alpha), z, logu, alogu, log1mua = pieces
+    const = np.array([[math.log(al) + math.log(lm) - specfun.log_beta(aa, bb)]
+                      for aa, bb, lm, al in theta.tolist()])
+    ll = np.sum(const - z + (alpha * a - 1.0) * logu + (b - 1.0) * log1mua, axis=1)
+
+    log_mlogu = np.log(-logu)                       # log(-L)
+    log_yu = logy - logu                            # log(y/u)
+    log_dl = log_yu - z                             # log L'
+    log_r = alogu - log1mua
+    log_rr = log_r - log1mua                        # log r(1 + r)
+    terms = np.empty((8,) + z.shape)
+    for k, log_term in enumerate((
+            log_dl,                                 # L'
+            log_r + log_dl,                         # r L'
+            log_r + log_mlogu,                      # -r L
+            log_dl + log_yu,                        # -L''
+            log_rr + 2.0 * log_mlogu,               # r(1 + r) L^2
+            log_rr + 2.0 * log_dl,                  # r(1 + r) L'^2
+            log_rr + log_dl + log_mlogu,            # -r(1 + r) L L'
+            log_r + log_dl + log_yu)):              # -r L''
+        np.exp(log_term, out=terms[k])
+    s_dl, s_rdl, s_rl, s_ddl, s_rrll, s_rrdd, s_rrld, s_rddl = terms.sum(axis=2)
+    s_l, s_m = logu.sum(axis=1), log1mua.sum(axis=1)
+
+    a, b, lam, alpha = theta.T
+    n = y.size
+    psi_a, psi_b, psi_ab = psi([a, b, a + b])
+    tri_a, tri_b, tri_ab = zeta(2.0, [a, b, a + b])     # psi'
+    am1, bm1 = alpha * a - 1.0, b - 1.0
+    score = np.stack([
+        alpha * s_l - n * (psi_a - psi_ab),
+        s_m - n * (psi_b - psi_ab),
+        n / lam - y.sum() + am1 * s_dl - alpha * bm1 * s_rdl,
+        n / alpha + a * s_l + bm1 * s_rl,
+    ], axis=1)
+    hess = np.empty((theta.shape[0], 4, 4))
+    for (i, j), v in {(0, 0): n * (tri_ab - tri_a), (0, 1): n * tri_ab,
+                      (1, 1): n * (tri_ab - tri_b), (0, 2): alpha * s_dl, (0, 3): s_l,
+                      (1, 2): -alpha * s_rdl, (1, 3): s_rl,
+                      (2, 2): -n / lam ** 2 - am1 * s_ddl - alpha * bm1 * (alpha * s_rrdd - s_rddl),
+                      (2, 3): a * s_dl - bm1 * (s_rdl - alpha * s_rrld),
+                      (3, 3): -n / alpha ** 2 - bm1 * s_rrll}.items():
+        hess[:, i, j] = hess[:, j, i] = v
+    return ll, score, hess
 
 
 @dataclass(frozen=True)
@@ -327,9 +397,11 @@ class FitResult:
     gradient at the returned point.  ``converged`` requires that norm
     below 1e-6 with no active search-box bound; fits stopped on the box
     (likelihood-ridge degeneracy) list the offending parameters in
-    ``hit_bounds``.  ``covariance`` is the inverse total expected
-    information embedded in a 4x4 with zero rows/columns for pinned
-    parameters, or None when it could not be computed.
+    ``hit_bounds``.  ``iterations`` counts the Newton steps that the
+    selected run accepted from its start; a run seeded by a sub-model's
+    optimum counts from that optimum.  ``covariance`` is the inverse
+    total expected information embedded in a 4x4 with zero rows/columns
+    for pinned parameters, or None when it could not be computed.
     """
 
     model: str
@@ -376,11 +448,16 @@ def _ge_moment_match(mean: float, var: float) -> tuple:
 _SHAPE_GRID = (0.5, 1.0, 2.0, 10.0)
 
 
-def _ladder(model: str, y: np.ndarray) -> list:
-    """Deterministic starting points (full 4-vectors, pinned entries = 1)."""
+def _ladders(models, y: np.ndarray) -> dict:
+    """Deterministic starting points (full 4-vectors, pinned entries = 1)
+    of each model."""
     mean = float(y.mean())
     var = float(y.var(ddof=1)) if y.size > 1 else 0.0
     lam_g, alpha_g = _ge_moment_match(mean, var)
+    return {m: _ladder(m, mean, lam_g, alpha_g) for m in models}
+
+
+def _ladder(model: str, mean: float, lam_g: float, alpha_g: float) -> list:
     starts: list = []
 
     def add(a=1.0, b=1.0, lam=1.0, alpha=1.0):
@@ -410,10 +487,241 @@ def _ladder(model: str, y: np.ndarray) -> list:
     return starts
 
 
+#: The sub-models whose selected optima seed a model's fit, each listed
+#: after the ones that seed it: they run in the model's batch, first.
+_SEEDS = {"dge": ("ge",), "bge": ("be", "ge", "dge")}
+#: A row stops once its projected log-space gradient is this small, once
+#: its next step cannot change theta, or after this many evaluations.
+_STOP_TOL = 1e-9
+_MAX_EVALS = 200
+#: Initial and largest trust-region radius, in log-parameter units.
+_RADIUS0, _RADIUS_MAX = 1.0, 4.0
+_BOUND_SLACK = 1e-9
+#: Observations times rows per kernel call, which bounds its temporaries.
+_KERNEL_BLOCK = 4096
+#: Relative rounding noise of a log-likelihood sum, per unit of |loglik| + n.
+_F_NOISE = 1e-13
+
+
+def _projected(phi, free, g, lo, hi):
+    """(projected gradient, free coordinates on the box) of rows of phi."""
+    at_lo, at_hi = phi <= lo + _BOUND_SLACK, phi >= hi - _BOUND_SLACK
+    proj = np.where(free & ~(at_lo & (g < 0.0)) & ~(at_hi & (g > 0.0)), g, 0.0)
+    return proj, free & (at_lo | at_hi)
+
+
+def _trust_step(phi, free, g, hess, radius, lo, hi):
+    """Steps of a projected Newton method with a trust region (Bertsekas
+    1982; More & Sorensen 1983), one per row.
+
+    Coordinates that are pinned, or on the box with the gradient or the
+    step pointing out of it, stay fixed.  On the rest the step maximizes
+    the quadratic model within ``radius``: the Newton step where -H is
+    positive definite and the step fits, else the step of the
+    Levenberg-Marquardt parameter mu found by Newton's method on
+    1/|d(mu)| - 1/radius, from the eigendecomposition of the free block
+    of -H.
+    """
+    on_lo, on_hi = phi <= lo, phi >= hi
+    fixed = ~free | (on_lo & (g < 0.0)) | (on_hi & (g > 0.0))
+    for _ in range(4):
+        d = _model_step(fixed, g, hess, radius)
+        out = ~fixed & ((on_lo & (d < 0.0)) | (on_hi & (d > 0.0)))
+        if not out.any():
+            return d
+        fixed = fixed | out
+    return _model_step(fixed, g, hess, radius)
+
+
+def _model_step(fixed, g, hess, radius):
+    """The trust-region step of ``_trust_step`` with ``fixed`` coordinates held."""
+    gm = np.where(fixed, 0.0, g)
+    neg_h = np.where(fixed[:, :, None] | fixed[:, None, :], 0.0, -hess)
+    neg_h[:, range(4), range(4)] += fixed
+    lam, vec = np.linalg.eigh(neg_h)
+    q = np.einsum("kij,ki->kj", vec, gm)
+    q2 = q ** 2
+    lmin = lam[:, 0]
+    # mu > max(0, -lmin) keeps -H + mu I positive definite
+    mu_lo = np.where(lmin > 0.0, 0.0, 1e-12 * (1.0 + np.abs(lam).max(axis=1)) - lmin)
+    mu = mu_lo
+    for _ in range(30):
+        den = lam + mu[:, None]
+        norm2 = np.sum(q2 / den ** 2, axis=1)
+        norm = np.sqrt(norm2)
+        far = (norm > 1.1 * radius) | ((mu > mu_lo) & (norm < 0.9 * radius))
+        if not far.any():
+            break
+        step = norm2 / np.sum(q2 / den ** 3, axis=1) * (norm - radius) / radius
+        mu = np.where(far, np.maximum(mu + step, mu_lo), mu)
+    d = np.einsum("kij,kj->ki", vec, q / (lam + mu[:, None]))
+    # the hard case: gm has no component along the most negative curvature
+    hard = (lmin < 0.0) & (norm < 0.9 * radius)
+    if hard.any():
+        tau = np.sqrt(np.maximum(radius ** 2 - np.sum(d ** 2, axis=1), 0.0))
+        d = d + np.where(hard, tau, 0.0)[:, None] * vec[:, :, 0]
+    return np.where(fixed, 0.0, d)
+
+
+def _to_box(phi, d, lo, hi):
+    """phi + t d with the largest t <= 1 that keeps the point in the box,
+    the coordinates that reach the box set on it; coordinates already on
+    the box that d points out of stay there."""
+    d = np.where(((phi >= hi) & (d > 0.0)) | ((phi <= lo) & (d < 0.0)), 0.0, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_hit = np.where(d > 0.0, (hi - phi) / d, np.where(d < 0.0, (lo - phi) / d, np.inf))
+    t = np.minimum(np.min(t_hit, axis=1, keepdims=True), 1.0)
+    return np.where(t_hit <= t, np.where(d > 0.0, hi, lo), np.clip(phi + t * d, lo, hi))
+
+
+def _log_space(theta, score, hess):
+    """Score and Hessian in phi = log theta."""
+    g = score * theta
+    h = hess * theta[:, :, None] * theta[:, None, :]
+    h[:, range(4), range(4)] += g
+    return g, h
+
+
+def _ascend(y: np.ndarray, plan: list, starts: dict, log_bound: float) -> dict:
+    """Runs every start of every model in ``plan`` as one row of a batch
+    and returns each model's selected run.
+
+    Each pass evaluates the log-likelihood, score and Hessian of every
+    live row by ``_loglik_score_hessian``, in blocks of at most
+    ``_KERNEL_BLOCK`` rows times observations.  A row's trajectory
+    depends on its start and the data alone, so a model's run is the same
+    in every batch it takes part in.  Once every row of a model has
+    stopped, its selected optimum goes back in as two rows of each model
+    in ``plan`` that it seeds: one that ascends from it and one that
+    stays there, so that the larger model's selection, which may not end
+    below it, always has it to choose.
+    """
+    logy = np.log(y)
+    block = max(1, _KERNEL_BLOCK // y.size)
+    lo, hi = -log_bound, log_bound
+    masks = {m: np.isin(PARAM_NAMES, MODEL_FREE_PARAMS[m]) for m in plan}
+    phi, group = [], []
+    for k, m in enumerate(plan):
+        seen = set()
+        for theta0 in starts[m]:
+            p = np.where(masks[m], np.clip(np.log(theta0), lo + 1e-2, hi - 1e-2), 0.0)
+            if p.tobytes() in seen:
+                continue    # a bit-for-bit rerun of an earlier start, which wins the tie-break
+            seen.add(p.tobytes())
+            phi.append(p), group.append(k)
+    ladder = np.arange(len(group))
+    seeds = []                                  # (sub-model, row that stays, row that ascends)
+    for k, m in enumerate(plan):
+        for sub in _SEEDS.get(m, ()):
+            if sub in plan:
+                seeds.append((sub, len(group), len(group) + 1))
+                phi += [np.zeros(4)] * 2
+                group += [k, k]
+    phi, group = np.array(phi), np.array(group)
+    rows = group.size
+    free = np.array([masks[m] for m in plan])[group]
+    anchor = np.zeros(rows, bool)
+    anchor[[stay for _, stay, _ in seeds]] = True
+    f, g, hess = np.full(rows, -np.inf), np.zeros((rows, 4)), np.zeros((rows, 4, 4))
+    radius = np.full(rows, _RADIUS0)
+    live = np.zeros(rows, bool)
+    evals, steps = np.zeros(rows, int), np.zeros(rows, int)
+    chosen: dict = {}
+
+    def evaluate(pts):
+        theta = np.exp(pts)
+        ll, sc, hs = (np.concatenate(part) for part in zip(*(
+            _loglik_score_hessian(theta[i:i + block], y, logy)
+            for i in range(0, len(theta), block))))
+        gp, hp = _log_space(theta, sc, hs)
+        ll = np.where(np.isnan(ll), -np.inf, ll)
+        finite = np.isfinite(ll) & np.isfinite(gp).all(axis=1) & np.isfinite(hp).all(axis=(1, 2))
+        return ll, gp, hp, finite
+
+    def stop_converged(idx):
+        proj, _ = _projected(phi[idx], free[idx], g[idx], lo, hi)
+        done = (np.max(np.abs(proj), axis=1) <= _STOP_TOL) | (evals[idx] >= _MAX_EVALS)
+        live[idx[done]] = False
+
+    def close_models():
+        for k, m in enumerate(plan):
+            mine = np.flatnonzero(group == k)
+            if m in chosen or live[mine].any() or any(
+                    sub in plan and sub not in chosen for sub in _SEEDS.get(m, ())):
+                continue
+            proj, hit = _projected(phi[mine], free[mine], g[mine], lo, hi)
+            pg = np.max(np.abs(proj), axis=1)
+            conv = (pg < _GRAD_TOL) & ~hit.any(axis=1)
+            floor = np.max(f[mine], where=anchor[mine], initial=-np.inf)
+            pool = np.flatnonzero(conv & (f[mine] >= floor))
+            if pool.size == 0:
+                pool = np.arange(mine.size)
+            best = pool[np.argmax(f[mine][pool])]       # the first of equal maxima
+            r = mine[best]
+            chosen[m] = (phi[r], f[r], pg[best], bool(conv[best]),
+                         tuple(p for p, h in zip(PARAM_NAMES, hit[best]) if h), int(steps[r]))
+            for sub, stay, go in seeds:
+                if sub == m:
+                    phi[[stay, go]], f[[stay, go]], g[[stay, go]], hess[[stay, go]] = \
+                        phi[r], f[r], g[r], hess[r]
+                    live[go] = True
+                    stop_converged(np.array([go]))
+
+    f[ladder], g[ladder], hess[ladder], live[ladder] = evaluate(phi[ladder])
+    evals[ladder] = 1
+    stop_converged(ladder)
+    close_models()
+    while live.any():
+        stepping = np.flatnonzero(live)
+        d = _trust_step(phi[stepping], free[stepping], g[stepping], hess[stepping],
+                        radius[stepping], lo, hi)
+        cand = _to_box(phi[stepping], d, lo, hi)
+        still = np.all(np.exp(cand) == np.exp(phi[stepping]), axis=1)
+        live[stepping[still]] = False           # theta can no longer move
+        stepping, cand, d = stepping[~still], cand[~still], d[~still]
+        if stepping.size:
+            ll, gp, hp, finite = evaluate(cand)
+            evals[stepping] += 1
+            s = cand - phi[stepping]
+            g0 = g[stepping]
+            pred = np.sum(g0 * s, axis=1) + 0.5 * np.einsum("ki,kij,kj->k", s, hess[stepping], s)
+            gain = ll - f[stepping]
+            # Within the rounding noise of the log-likelihood its change
+            # says nothing: a step the model predicts to gain no more than
+            # that is accepted when it shrinks the projected gradient.
+            noise = _F_NOISE * (np.abs(f[stepping]) + y.size)
+            pg_old = np.max(np.abs(_projected(phi[stepping], free[stepping], g0, lo, hi)[0]), axis=1)
+            pg_new = np.max(np.abs(_projected(cand, free[stepping], gp, lo, hi)[0]), axis=1)
+            ok = finite & ((gain > 0.0) | ((pred < noise) & (gain > -noise) & (pg_new < pg_old)))
+            rho = np.where(pred > 0.0, gain / np.where(pred > 0.0, pred, 1.0), -1.0)
+            full = np.sqrt(np.sum(d ** 2, axis=1)) >= 0.99 * radius[stepping]
+            radius[stepping] = np.where(
+                ~ok | (rho < 0.25), 0.25 * np.sqrt(np.sum(s ** 2, axis=1)),
+                np.where((rho > 0.75) & full, np.minimum(2.0 * radius[stepping], _RADIUS_MAX),
+                         radius[stepping]))
+            acc = stepping[ok]
+            phi[acc], f[acc], g[acc], hess[acc] = cand[ok], ll[ok], gp[ok], hp[ok]
+            steps[acc] += 1
+            stop_converged(stepping)
+        close_models()
+    return chosen
+
+
 def fit_mle(data, model: str = "bge", init: BGE | None = None, *,
             log_bound: float = DEFAULT_LOG_BOUND,
             compute_covariance: bool = True) -> FitResult:
     """Maximum-likelihood fit of a BGE sub-model.
+
+    The log-likelihood is maximized in phi = log theta over the box
+    |phi_i| <= ``log_bound`` by a projected Newton method with a trust
+    region on the analytic Hessian.  Every start of the fit advances as
+    one row of a batch, whose log-likelihood, score and Hessian each pass
+    takes from one broadcast kernel.  A step is accepted when it
+    raises the log-likelihood or, where the model predicts a gain below
+    the sum's rounding noise, when it shrinks the projected gradient.  A
+    row stops once its projected gradient is below 1e-9, once its next
+    step cannot change theta, or after 200 evaluations.  The returned
+    ``loglik`` is ``log_likelihood`` at the returned point, bit for bit.
 
     Parameters
     ----------
@@ -424,91 +732,35 @@ def fit_mle(data, model: str = "bge", init: BGE | None = None, *,
     init : BGE, optional
         Starting point; when absent a deterministic multi-start ladder
         (moment-matched GE seed plus a shape grid) is used.  A start
-        equal to an earlier one after clipping to the box is skipped: its
-        run would repeat the earlier run exactly and lose the tie-break.
-        Within a start the objective is memoized on the parameter vector,
-        so L-BFGS-B restarts and repeated line-search points cost no
-        second likelihood pass; the memo is cleared at each start.
+        equal to an earlier one after clipping to the box is skipped.
+        Without ``init``, "dge" also runs the "ge" ladder and "bge" the
+        "ge", "be" and "dge" ladders in the same batch; each sub-model's
+        selected optimum (what ``fit_mle`` returns for it) then joins
+        the larger model's batch as one more start, so a fit never ends
+        below a model nested in it.
     log_bound : float
         Half-width of the log-parameter search box.
 
     Returns
     -------
     FitResult
-        Best point found: the best converged run, else the best run
-        overall, ties broken by start index.  Non-convergence (including
-        ridge terminations on the box) is reported, never raised.
+        The best converged run that is not below a seeding sub-model's
+        optimum, else the best run overall (the seeding optima among
+        them), ties broken by start order.
+        Non-convergence (including ridge terminations on the box) is
+        reported, never raised.
     """
-    from scipy.optimize import minimize
-
     if model not in MODEL_FREE_PARAMS:
         raise ValueError(f"unknown model tag {model!r}; expected one of {sorted(MODEL_FREE_PARAMS)}")
     y = _as_values(data)
-    free = MODEL_FREE_PARAMS[model]
-    free_idx = [PARAM_NAMES.index(p) for p in free]
-    pinned = np.ones(4)
-
-    # One start meets many theta twice: the check after each L-BFGS-B run
-    # and the next run's x0 repeat the point it stopped at, and near
-    # convergence distinct phi round to one theta.  memo holds one start.
-    memo: dict = {}
-
-    def objective(phi: np.ndarray):
-        theta = pinned.copy()
-        theta[free_idx] = np.exp(phi)
-        key = theta.tobytes()
-        if key not in memo:
-            ll, g = _loglik_score(theta, y)
-            memo[key] = (-ll, -(g[free_idx] * theta[free_idx]))
-        f, neg_g = memo[key]
-        return f, neg_g.copy()          # scipy keeps the arrays it is given
-
     if init is not None:
-        starts = [np.array(init.params_tuple())]
+        plan, starts = [model], {model: [np.array(init.params_tuple())]}
     else:
-        starts = _ladder(model, y)
-
-    bounds = [(-log_bound, log_bound)] * len(free_idx)
-    runs = []
-    seen = set()
-    for start_idx, theta0 in enumerate(starts):
-        phi0 = np.clip(np.log(theta0[free_idx]), -log_bound + 1e-2, log_bound - 1e-2)
-        if phi0.tobytes() in seen:
-            continue    # a bit-for-bit rerun of an earlier start, which wins the tie-break
-        seen.add(phi0.tobytes())
-        memo.clear()
-        nit = 0
-        phi = phi0
-        # restarts clear the L-BFGS memory, which pushes the gradient
-        # further down on the shallow ridges this family produces
-        for _ in range(4):
-            res = minimize(objective, phi, jac=True, method="L-BFGS-B", bounds=bounds,
-                           options=dict(maxiter=500, maxfun=2000, ftol=1e-15, gtol=1e-9))
-            nit += res.nit
-            moved = np.max(np.abs(res.x - phi)) if res.nit else 0.0
-            phi = res.x
-            _, neg_g = objective(phi)
-            if np.max(np.abs(neg_g)) < 0.1 * _GRAD_TOL or (res.nit and moved == 0.0) \
-                    or res.nit == 0:
-                break
-        at_lower = phi <= -log_bound + 1e-9
-        at_upper = phi >= log_bound - 1e-9
-        projected = neg_g.copy()
-        projected[at_lower & (projected > 0)] = 0.0
-        projected[at_upper & (projected < 0)] = 0.0
-        pg_norm = float(np.max(np.abs(projected)))
-        hit = tuple(free[idx] for idx in range(len(free)) if at_lower[idx] or at_upper[idx])
-        converged = pg_norm < _GRAD_TOL and not hit
-        runs.append((converged, -float(res.fun), start_idx, phi, pg_norm, hit, nit))
-
-    converged_runs = [r for r in runs if r[0]]
-    pool = converged_runs if converged_runs else runs
-    best = max(pool, key=lambda r: (r[1], -r[2]))
-    converged, loglik, _, phi, pg_norm, hit, nit = best
-
-    theta = pinned.copy()
-    theta[free_idx] = np.exp(phi)
-    dist = BGE(*theta)
+        plan = [*_SEEDS.get(model, ()), model]
+        starts = _ladders(plan, y)
+    phi, loglik, pg_norm, converged, hit, steps = _ascend(y, plan, starts, log_bound)[model]
+    dist = BGE(*np.exp(phi))
+    free_idx = [PARAM_NAMES.index(p) for p in MODEL_FREE_PARAMS[model]]
 
     cov = None
     if compute_covariance:
@@ -522,8 +774,8 @@ def fit_mle(data, model: str = "bge", init: BGE | None = None, *,
         except (NonIntegrableError, np.linalg.LinAlgError, ValueError, RuntimeError):
             cov = None
 
-    return FitResult(model=model, params=dist, loglik=loglik, score_norm=pg_norm,
-                     converged=converged, iterations=int(nit), n_obs=int(y.size),
+    return FitResult(model=model, params=dist, loglik=float(loglik), score_norm=float(pg_norm),
+                     converged=converged, iterations=steps, n_obs=int(y.size),
                      hit_bounds=hit, covariance=cov)
 
 
@@ -589,7 +841,7 @@ def lr_test(data, null_model: str, alt_model: str) -> LrTestResult:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))

@@ -12,10 +12,14 @@ and thread-safe; none touch global state.  All are scalar except
 ``betaincinv`` and ``gammaincc``: they add the domain checks and the
 exact endpoints, and import scipy on first call so that importing the
 package stays cheap.  ``log_beta`` and ``polygamma`` (orders 0 and 1,
-the only ones the library calls) stay hand-written.  Against mpmath, ``scipy.special.betaln`` loses about
-1e-10 relative at b ~ 2e4 where ``log_beta`` holds 3e-14, and the
-maximum-likelihood fits are tuned on the present ``digamma`` and
-``trigamma``: swapping them moves the L-BFGS-B iteration counts.
+the only ones the library calls) stay hand-written.  Against mpmath,
+``scipy.special.betaln`` loses about 1e-10 relative at b ~ 2e4 where
+``log_beta`` holds 3e-14.  ``digamma`` and ``trigamma`` serve the
+scalar paths (the information matrix, ``score``, the moment-matched
+fit start), which load no scipy module through them; the batched fit
+kernel takes psi and psi' from ``scipy.special``.  Whether the scalar
+paths should do the same is decided by paired CLI timings of the
+``scipy.special`` import (ROADMAP item 12).
 """
 
 from __future__ import annotations

@@ -57,3 +57,27 @@ def test_moments_and_sweep_load_no_scipy_integrate_or_special():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+def test_bge_fit_loads_no_scipy_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys; from bgedist import fit_mle, glass_fibre_sample; "
+            "fit = fit_mle(glass_fibre_sample(), 'bge'); "
+            "print(fit.model, 'scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["bge", "False"]
+
+
+def test_reproduce_loads_no_scipy_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import io, sys; import bgedist.cli; out = io.StringIO(); "
+            "code = bgedist.cli.main(['reproduce'], out=out); "
+            "print(code, len(out.getvalue()) > 0, 'scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split()[1:] == ["True", "False"]

@@ -166,6 +166,56 @@ class TestKernelMatchesReference:
         self.assert_same_bits(np.array([2.0, 3.0, 0.5, 1.5]), np.array([1e-310, 1.0]))
 
 
+class TestHessianKernel:
+    @staticmethod
+    def points(n):
+        rng = np.random.default_rng(4242)
+        edge = inf.DEFAULT_LOG_BOUND
+        corners = [np.exp(edge * (2.0 * np.array(s) - 1.0)) for s in np.ndindex(2, 2, 2, 2)]
+        inner = list(np.exp(rng.uniform(-edge, edge, size=(8, 4))))
+        for theta in corners + inner:
+            # lam y log-uniform over [1e-6, 60]: both branches of log1mexp
+            yield theta, np.exp(rng.uniform(math.log(1e-6), math.log(60.0), n)) / theta[2]
+
+    @pytest.mark.parametrize("n", [63, 1000])
+    def test_hessian_matches_central_differences_of_score(self, n):
+        # relative to the largest entry: entries that are differences of
+        # nearly equal polygamma values are below what a difference
+        # quotient of the score can resolve
+        for theta, y in self.points(n):
+            _, _, hess = inf._loglik_score_hessian(theta[None], y, np.log(y))
+            fd = np.empty((4, 4))
+            for i in range(4):
+                h = 1e-5 * theta[i]
+                tp, tm = theta.copy(), theta.copy()
+                tp[i] += h
+                tm[i] -= h
+                fd[i] = (score(BGE(*tp), y).as_array() - score(BGE(*tm), y).as_array()) / (2 * h)
+            assert np.max(np.abs(hess[0] - fd)) <= 1e-8 * np.max(np.abs(hess[0])), theta
+
+    @pytest.mark.parametrize("n", [63, 1000])
+    def test_one_row_has_the_bits_of_the_1d_path(self, n):
+        # the shared pieces and the log-likelihood keep their bits; the
+        # score takes psi from scipy.special, not specfun
+        for theta, y in self.points(n):
+            (_, *flat), (_, *rows) = inf._pieces(theta, y), inf._pieces(theta[None], y)
+            for want, got in zip(flat, rows):
+                np.testing.assert_array_equal(got, want[None], strict=True)
+            ll, sc, _ = inf._loglik_score_hessian(theta[None], y, np.log(y))
+            want_ll, want_score = inf._loglik_score(theta, y)
+            assert repr(float(ll[0])) == repr(want_ll)
+            assert np.max(np.abs(sc[0] - want_score)) <= 1e-12 * np.max(np.abs(want_score))
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        y = BGE(2.0, 1.5, 1.0, 2.0).sample(63, np.random.default_rng(5)).values
+        theta = np.exp(np.random.default_rng(6).uniform(-4.5, 4.5, size=(9, 4)))
+        batch = inf._loglik_score_hessian(theta, y, np.log(y))
+        for r in range(len(theta)):
+            alone = inf._loglik_score_hessian(theta[r:r + 1], y, np.log(y))
+            for got, want in zip(batch, alone):
+                np.testing.assert_array_equal(got[r:r + 1], want, strict=True)
+
+
 class TestExpectedScoreIdentities:
     """The three expectations implied by a vanishing expected score."""
 
@@ -418,37 +468,94 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_mle([1.0, 2.0], "weibull")
 
-    @pytest.mark.parametrize("model, n_starts", [("dge", 4), ("bge", 16)])
-    def test_no_point_computed_twice_within_a_start(self, glass_fibre, monkeypatch,
-                                                     model, n_starts):
-        # the ladder lists the start b = 1 twice for dge, and for bge the
-        # moment-matched GE start is also the grid's (1, 1) entry
-        import scipy.optimize
+    @pytest.mark.parametrize("model", ["ge", "be", "dge", "bge"])
+    def test_no_run_evaluates_a_point_twice(self, glass_fibre, model):
+        # A row's path depends on its start and the data alone
+        # (test_sub_model_runs_do_not_depend_on_the_batch), so each start
+        # runs here as the only row, and each seed as the only row once
+        # its one-start sub-model has closed: every kernel call then
+        # holds one row, and a row's points must all differ.
+        y = glass_fibre.values
+        kernel = inf._loglik_score_hessian
+        calls: list = []
 
-        plain = fit_mle(glass_fibre, model, compute_covariance=False)
-        kernel, minimize = inf._loglik_score, scipy.optimize.minimize
-        per_start: list = []
-        last_x = [None]
+        def recording_kernel(theta, y, logy):
+            calls.append(theta.copy())
+            return kernel(theta, y, logy)
 
-        def recording_minimize(fun, x0, **kwargs):
-            if x0.tobytes() != last_x[0]:       # a new start, not a restart
-                per_start.append([])
-            res = minimize(fun, x0, **kwargs)
-            last_x[0] = res.x.tobytes()
-            return res
+        plan = [*inf._SEEDS.get(model, ()), model]
+        ladders = inf._ladders(plan, y)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inf, "_loglik_score_hessian", recording_kernel)
+            for start in ladders[model]:
+                calls.clear()
+                inf._ascend(y, [model], {model: [start]}, inf.DEFAULT_LOG_BOUND)
+                points = [t.tobytes() for t in calls]
+                assert all(len(t) == 1 for t in calls)
+                assert len(set(points)) == len(points) > 1
+            for sub in inf._SEEDS.get(model, ()):
+                calls.clear()
+                chosen = inf._ascend(y, [sub, model], {sub: ladders[sub][:1], model: []},
+                                     inf.DEFAULT_LOG_BOUND)
+                points = [t.tobytes() for t in calls]
+                assert all(len(t) == 1 for t in calls)
+                assert len(set(points)) == len(points)
+                assert chosen[model][1] >= chosen[sub][1]
 
-        def recording_kernel(theta, y):
-            per_start[-1].append(theta.tobytes())
-            return kernel(theta, y)
+    @pytest.mark.parametrize("model", ["ge", "be", "dge", "bge"])
+    def test_repeat_fit_is_identical(self, glass_fibre, model):
+        one = fit_mle(glass_fibre, model, compute_covariance=False)
+        two = fit_mle(glass_fibre, model, compute_covariance=False)
+        assert repr(one.loglik) == repr(two.loglik)
+        assert one.iterations == two.iterations
+        assert repr(one.params) == repr(two.params)
 
-        monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
-        monkeypatch.setattr(inf, "_loglik_score", recording_kernel)
-        fit = fit_mle(glass_fibre, model, compute_covariance=False)
-        assert len(per_start) == n_starts
-        for thetas in per_start:
-            assert len(set(thetas)) == len(thetas)
-        assert repr(fit.loglik) == repr(plain.loglik)
-        assert fit.iterations == plain.iterations
+    def test_sub_model_runs_do_not_depend_on_the_batch(self, glass_fibre):
+        # the be, ge and dge runs inside a bge fit's batch are the
+        # standalone fits, bit for bit: what makes nesting exact
+        y = glass_fibre.values
+
+        def ascend(model):
+            plan = [*inf._SEEDS.get(model, ()), model]
+            return inf._ascend(y, plan, inf._ladders(plan, y), inf.DEFAULT_LOG_BOUND)
+
+        inside = ascend("bge")
+        for sub in ("be", "ge", "dge"):
+            assert repr(ascend(sub)[sub]) == repr(inside[sub])
+
+    @staticmethod
+    def _fit_samples():
+        rng = np.random.default_rng(1717)
+        for k in range(24):
+            true = BGE(*np.exp(rng.uniform(-2.0, 2.0, size=4)))
+            yield true.sample((63, 1000)[k % 2], rng)
+
+    def test_nesting_holds_exactly(self):
+        for data in self._fit_samples():
+            ll = {m: fit_mle(data, m, compute_covariance=False).loglik
+                  for m in ("ge", "be", "dge", "bge")}
+            assert ll["dge"] >= ll["ge"], ll
+            assert ll["bge"] >= max(ll["be"], ll["dge"], ll["ge"]), ll
+
+    def test_converged_fits_are_strict_maxima(self, glass_fibre):
+        # a converged fit has a projected log-space gradient below
+        # _GRAD_TOL and a negative definite Hessian over its free
+        # parameters, both taken at the returned point
+        checked = 0
+        for data in [glass_fibre] + list(self._fit_samples())[:12]:
+            y = data.values
+            for model in ("exp", "ge", "be", "dge", "bge"):
+                fit = fit_mle(data, model, compute_covariance=False)
+                if not fit.converged:
+                    continue
+                theta = np.array([fit.params.params_tuple()])
+                _, sc, hess = inf._loglik_score_hessian(theta, y, np.log(y))
+                g, h = inf._log_space(theta, sc, hess)
+                idx = [inf.PARAM_NAMES.index(p) for p in fit.free_names]
+                assert np.max(np.abs(g[0, idx])) < inf._GRAD_TOL
+                assert np.max(np.linalg.eigvalsh(h[0][np.ix_(idx, idx)])) < 0.0
+                checked += 1
+        assert checked >= 30
 
     def test_ge_moment_match_stops_early_with_the_same_bits(self, glass_fibre):
         def full_bisection(mean, var):
@@ -566,6 +673,17 @@ class TestSerialization:
         assert back.model == fit.model
         assert back.loglik == pytest.approx(fit.loglik, rel=1e-9)
         assert back.converged == fit.converged
+
+    def test_numpy_bool_roundtrip(self, glass_fibre):
+        # a flag taken from a numpy array renders as true/false, not 1/0
+        import dataclasses
+
+        fit = fit_mle(glass_fibre, "ge", compute_covariance=False)
+        for flag in (np.True_, np.False_):
+            text = fit_result_kv(dataclasses.replace(fit, converged=flag))
+            assert f"converged={'true' if flag else 'false'}" in text
+            assert parse_fit_result_kv(text).converged is bool(flag)
+            assert fit_result_kv(parse_fit_result_kv(text)) == text
 
     def test_stable_keys(self, glass_fibre):
         fit = fit_mle(glass_fibre, "exp")
