@@ -50,6 +50,34 @@ def log1mexp(z):
     return out
 
 
+def _log_norm(a: float, b: float, lam: float, alpha: float) -> float:
+    """log(alpha lam / B(a, b)), the constant term of the log-density."""
+    return math.log(alpha) + math.log(lam) - specfun.log_beta(a, b)
+
+
+def _log_density(params, log_norm, x):
+    """The BGE log-density at x > 0 and the pieces that the score and
+    the Hessian share.
+
+    ``params`` is (a, b, lam, alpha) and ``log_norm`` is ``_log_norm`` of
+    them: floats, or (rows, 1) columns with x broadcast to (rows, n).
+    Returns (log f, z, log u, log u^alpha, log(1 - u^alpha)) with
+    z = lam x and u = 1 - e^-z; log u is kept strictly negative even
+    when u rounds to 1, so that 1 - u^alpha stays positive.  A float x
+    stays in the ``math`` module.
+    """
+    a, b, lam, alpha = params
+    z = lam * x
+    if isinstance(x, (int, float)):
+        logu = min(log1mexp(z), _LOGU_CLAMP)
+    else:
+        logu = np.minimum(log1mexp(z), _LOGU_CLAMP)
+    alogu = alpha * logu
+    log1mua = log1mexp(-alogu)
+    return (log_norm - z + (alpha * a - 1.0) * logu + (b - 1.0) * log1mua,
+            z, logu, alogu, log1mua)
+
+
 #: tanh-sinh rule v = (1 + tanh(pi/2 sinh t)) / 2 on t in [-8, 8]: the
 #: first level has step 1/8, each further one halves it and adds only the
 #: odd-numbered nodes.  At t = +-8 one of v and 1 - v is about e^-4682.
@@ -240,12 +268,8 @@ class BGE:
             x = np.asarray(x, dtype=float)
         if x <= 0.0 if scalar else np.any(x <= 0.0):
             raise ValueError("logpdf requires x > 0")
-        logu = self._log_u(x)
-        log1mua = log1mexp(-self.alpha * logu)
-        out = (math.log(self.alpha) + math.log(self.lam) - self.log_beta_ab
-               - self.lam * x
-               + (self.alpha * self.a - 1.0) * logu
-               + (self.b - 1.0) * log1mua)
+        params = (self.a, self.b, self.lam, self.alpha)
+        out = _log_density(params, _log_norm(*params), x)[0]
         if not scalar and out.ndim == 0:
             return float(out)
         return out

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 import numpy as np
 
 from . import specfun
-from .distribution import (_LOGU_CLAMP, _TS_FAIL_RTOL, BGE, Sample, _log_latent_transform,
-                           _tanh_sinh_log_integral, log1mexp)
+from .distribution import (_TS_FAIL_RTOL, BGE, Sample, _log_density, _log_latent_transform,
+                           _log_norm, _tanh_sinh_log_integral)
 
 __all__ = [
     "PARAM_NAMES",
@@ -44,7 +43,6 @@ __all__ = [
     "score_contributions",
     "t_expectation",
     "information_matrix",
-    "mc_expected_information",
     "fit_mle",
     "confidence_intervals",
     "lr_test",
@@ -82,7 +80,8 @@ def _as_values(data) -> np.ndarray:
 
 
 def _pieces(theta: np.ndarray, y: np.ndarray):
-    """Shared stable intermediates for likelihood, score and Hessian.
+    """(params, *``_log_density``) at ``theta`` over y: the log-density
+    and the intermediates that the score and Hessian share.
 
     A 1-D ``theta`` gives the parameters as Python floats, on which the
     scalar special functions run faster than on numpy scalars, and
@@ -90,23 +89,18 @@ def _pieces(theta: np.ndarray, y: np.ndarray):
     columns and arrays of shape (rows, n), each row bit for bit what
     the 1-D call returns for it.
     """
-    params = theta.tolist() if theta.ndim == 1 else list(theta.T[:, :, None])
-    lam, alpha = params[2], params[3]
-    z = lam * y
-    logu = np.minimum(log1mexp(z), _LOGU_CLAMP)
-    alogu = alpha * logu                        # log u^alpha
-    return params, z, logu, alogu, log1mexp(-alogu)
-
-
-def _loglik(pieces) -> float:
-    (a, b, lam, alpha), z, logu, _, log1mua = pieces
-    return float(np.sum(math.log(alpha) + math.log(lam) - specfun.log_beta(a, b)
-                        - z + (alpha * a - 1.0) * logu + (b - 1.0) * log1mua))
+    if theta.ndim == 1:
+        params = theta.tolist()
+        log_norm = _log_norm(*params)
+    else:
+        params = list(theta.T[:, :, None])
+        log_norm = np.array([[_log_norm(*row)] for row in theta.tolist()])
+    return (params, *_log_density(params, log_norm, y))
 
 
 def _score_contrib(pieces, y: np.ndarray) -> np.ndarray:
     """Per-observation score vectors, shape (n, 4)."""
-    (a, b, lam, alpha), z, logu, alogu, log1mua = pieces
+    (a, b, lam, alpha), _, z, logu, alogu, log1mua = pieces
     psi_a = specfun.digamma(a)
     psi_b = specfun.digamma(b)
     psi_ab = specfun.digamma(a + b)
@@ -120,12 +114,6 @@ def _score_contrib(pieces, y: np.ndarray) -> np.ndarray:
     out[:, 2] = 1.0 / lam - y + (alpha * a - 1.0) * w1 - alpha * (b - 1.0) * w1 * ratio
     out[:, 3] = 1.0 / alpha + a * logu - (b - 1.0) * ratio * logu
     return out
-
-
-def _loglik_score(theta: np.ndarray, y: np.ndarray):
-    """(log-likelihood, score sum) from one pass of ``_pieces``."""
-    pieces = _pieces(theta, y)
-    return _loglik(pieces), _score_contrib(pieces, y).sum(axis=0)
 
 
 def _loglik_score_hessian(theta: np.ndarray, y: np.ndarray, logy: np.ndarray):
@@ -143,11 +131,8 @@ def _loglik_score_hessian(theta: np.ndarray, y: np.ndarray, logy: np.ndarray):
     """
     from scipy.special import psi, zeta
 
-    pieces = _pieces(theta, y)
-    (a, b, lam, alpha), z, logu, alogu, log1mua = pieces
-    const = np.array([[math.log(al) + math.log(lm) - specfun.log_beta(aa, bb)]
-                      for aa, bb, lm, al in theta.tolist()])
-    ll = np.sum(const - z + (alpha * a - 1.0) * logu + (b - 1.0) * log1mua, axis=1)
+    _, logf, z, logu, alogu, log1mua = _pieces(theta, y)
+    ll = logf.sum(axis=1)
 
     log_mlogu = np.log(-logu)                       # log(-L)
     log_yu = logy - logu                            # log(y/u)
@@ -205,8 +190,7 @@ class ScoreVector:
 
 def log_likelihood(dist: BGE, data) -> float:
     """Total log-likelihood of ``data`` under ``dist``."""
-    y = _as_values(data)
-    return _loglik(_pieces(np.array(dist.params_tuple()), y))
+    return float(np.sum(dist.logpdf(_as_values(data))))
 
 
 def score(dist: BGE, data) -> ScoreVector:
@@ -240,8 +224,7 @@ def t_expectation(dist: BGE, i: int, j: int, k: int, l: int, m: int) -> float:
     agree to 1e-12 relative.  Every factor is formed in log space from
     whichever of log v and log(1 - v) is small, so neither end loses its
     tail.  A last level that still disagrees by more than 1e-8 relative
-    raises ``NonIntegrableError``, which ``information_matrix`` answers
-    with its Monte Carlo fallback.
+    raises ``NonIntegrableError``, as a divergent index set does.
     """
     for name, idx in (("i", i), ("j", j), ("k", k), ("l", l), ("m", m)):
         if idx not in (0, 1, 2):
@@ -279,111 +262,60 @@ def t_expectation(dist: BGE, i: int, j: int, k: int, l: int, m: int) -> float:
     return sign * math.exp(log_integral - specfun.log_beta(a, b))
 
 
-_INFO_ENTRY_NAMES = ("a,a", "a,b", "a,lam", "a,alpha", "b,b", "b,lam",
-                     "b,alpha", "lam,lam", "lam,alpha", "alpha,alpha")
-
-
 @dataclass(frozen=True)
 class InfoMatrix:
-    """Unit expected information with its sample-size multiplier."""
+    """Expected information per observation, with the entries taken by
+    quadrature instead of their closed form (the (b, alpha) entry at
+    b = 1)."""
 
     matrix: np.ndarray
-    n_scale: int = 1
     fallback_entries: tuple = ()
 
-    def total(self) -> np.ndarray:
-        return self.n_scale * self.matrix
 
-    def smallest_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-
-def mc_expected_information(dist: BGE, n_draws: int, rng: np.random.Generator,
-                            rel_step: float = 1e-5):
-    """Monte Carlo estimate of E[-d^2 l / d theta d theta^T] per observation.
-
-    Central finite differences of the analytic per-observation score.
-    Returns (estimate, standard_errors), both 4x4.
-    """
-    y = dist.sample(n_draws, rng).values
-    theta = np.array(dist.params_tuple())
-    cols = []
-    for idx in range(4):
-        h = rel_step * theta[idx]
-        tp = theta.copy(); tp[idx] += h
-        tm = theta.copy(); tm[idx] -= h
-        cols.append((_score_contrib(_pieces(tp, y), y)
-                     - _score_contrib(_pieces(tm, y), y)) / (2.0 * h))
-    hess = np.stack(cols, axis=1)               # (n, 4, 4), d s_j / d theta_i
-    hess = 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
-    est = -hess.mean(axis=0)
-    se = hess.std(axis=0, ddof=1) / math.sqrt(n_draws)
-    return est, se
-
-
-def information_matrix(dist: BGE, mc_fallback_draws: int = 200_000,
-                       rng: np.random.Generator | None = None) -> InfoMatrix:
+def information_matrix(dist: BGE) -> InfoMatrix:
     """Unit expected information matrix K(theta).
 
     Entries combine polygamma terms with T-expectations.  At b = 1 the
-    closed form of the (b, alpha) entry is 0/0 and the entry is taken by
-    quadrature instead; if any required T-expectation reports
-    non-integrability, that entry falls back to the Monte Carlo expected
-    negative Hessian.  Either substitution is listed in
-    ``fallback_entries``.
+    closed form of the (b, alpha) entry is 0/0, so the entry is taken by
+    quadrature instead and listed in ``fallback_entries``.  Every index
+    set used has i - j - m <= 0 and l >= k, so each T-expectation is
+    finite for all a, b > 0; a tanh-sinh rule that does not converge
+    raises ``NonIntegrableError``, which ``fit_mle`` reports as
+    ``covariance=None``.
     """
     a, b, lam, alpha = dist.params_tuple()
     psi, psi1 = specfun.digamma, specfun.trigamma
     T = lambda *idx: t_expectation(dist, *idx)
+    at_b1 = abs(b - 1.0) <= 1e-8
 
-    entries: dict[str, float] = {}
-    failed: list[str] = []
-    flagged: list[str] = []
-
-    def put(name: str, compute):
-        try:
-            entries[name] = compute()
-        except NonIntegrableError:
-            failed.append(name)
-
-    put("a,a", lambda: psi1(a) - psi1(a + b))
-    put("a,b", lambda: -psi1(a + b))
-    put("a,lam", lambda: alpha / lam * T(0, 1, 1, 1, 0))
-    put("a,alpha", lambda: (psi(a + b) - psi(a)) / alpha)
-    put("b,b", lambda: psi1(b) - psi1(a + b))
-    put("b,lam", lambda: -alpha / lam * T(1, 1, 1, 1, 0))
-    if abs(b - 1.0) > 1e-8:
-        put("b,alpha", lambda: (a * (psi(a) - psi(a + b)) + 1.0) / (alpha * (b - 1.0)))
-    else:
+    entries = {
+        "a,a": psi1(a) - psi1(a + b),
+        "a,b": -psi1(a + b),
+        "a,lam": alpha / lam * T(0, 1, 1, 1, 0),
+        "a,alpha": (psi(a + b) - psi(a)) / alpha,
+        "b,b": psi1(b) - psi1(a + b),
+        "b,lam": -alpha / lam * T(1, 1, 1, 1, 0),
         # the closed form is 0/0 at b = 1; take the quadrature route
-        put("b,alpha", lambda: T(1, 0, 0, 0, 1) / alpha)
-        flagged.append("b,alpha")
-    put("lam,lam", lambda: (1.0
-                            + (alpha * a - 1.0) * (T(0, 2, 2, 2, 0) + T(0, 1, 1, 2, 0))
-                            + alpha * (b - 1.0) * (alpha * T(2, 2, 2, 2, 0)
-                                                   + (alpha - 1.0) * T(1, 2, 2, 2, 0)
-                                                   - T(1, 1, 1, 2, 0))) / lam ** 2)
-    put("lam,alpha", lambda: (a * T(0, 1, 1, 1, 0)
-                              - (b - 1.0) * (T(1, 1, 1, 1, 0) + T(2, 1, 1, 1, 1)
-                                             + T(1, 1, 1, 1, 1))) / lam)
-    put("alpha,alpha", lambda: (1.0 + (b - 1.0) * (T(2, 0, 0, 0, 2)
-                                                   + T(1, 0, 0, 0, 2))) / alpha ** 2)
-
-    if failed:
-        mc, _ = mc_expected_information(
-            dist, mc_fallback_draws,
-            rng if rng is not None else np.random.default_rng(20090615))
-        pos = {name: idx for idx, name in enumerate(PARAM_NAMES)}
-        for name in failed:
-            r, c = (pos[p] for p in name.split(","))
-            entries[name] = float(mc[r, c])
+        "b,alpha": (T(1, 0, 0, 0, 1) / alpha if at_b1
+                    else (a * (psi(a) - psi(a + b)) + 1.0) / (alpha * (b - 1.0))),
+        "lam,lam": (1.0
+                    + (alpha * a - 1.0) * (T(0, 2, 2, 2, 0) + T(0, 1, 1, 2, 0))
+                    + alpha * (b - 1.0) * (alpha * T(2, 2, 2, 2, 0)
+                                           + (alpha - 1.0) * T(1, 2, 2, 2, 0)
+                                           - T(1, 1, 1, 2, 0))) / lam ** 2,
+        "lam,alpha": (a * T(0, 1, 1, 1, 0)
+                      - (b - 1.0) * (T(1, 1, 1, 1, 0) + T(2, 1, 1, 1, 1)
+                                     + T(1, 1, 1, 1, 1))) / lam,
+        "alpha,alpha": (1.0 + (b - 1.0) * (T(2, 0, 0, 0, 2)
+                                           + T(1, 0, 0, 0, 2))) / alpha ** 2,
+    }
 
     K = np.empty((4, 4))
     pos = {name: idx for idx, name in enumerate(PARAM_NAMES)}
-    for name in _INFO_ENTRY_NAMES:
+    for name, v in entries.items():
         p, q = name.split(",")
-        K[pos[p], pos[q]] = K[pos[q], pos[p]] = entries[name]
-    return InfoMatrix(K, n_scale=1, fallback_entries=tuple(failed + flagged))
+        K[pos[p], pos[q]] = K[pos[q], pos[p]] = v
+    return InfoMatrix(K, fallback_entries=("b,alpha",) if at_b1 else ())
 
 
 # -- fitting ---------------------------------------------------------------------
@@ -783,8 +715,11 @@ def confidence_intervals(fit: FitResult, gamma: float = 0.05) -> dict:
     """Asymptotic per-parameter intervals theta_i -+ z_{gamma/2} * se_i.
 
     Uses the inverse total expected information at the fitted point;
-    only the model's free parameters receive intervals.
+    only the model's free parameters receive intervals, each end a
+    Python float.
     """
+    from statistics import NormalDist
+
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     if fit.covariance is None:
@@ -794,11 +729,10 @@ def confidence_intervals(fit: FitResult, gamma: float = 0.05) -> dict:
     if np.any(np.linalg.eigvalsh(cov_f) <= 0.0):
         raise ValueError("covariance is not positive definite on the free parameters")
     z = NormalDist().inv_cdf(1.0 - gamma / 2.0)
-    theta = np.array(fit.params.params_tuple())
     out = {}
     for pos, name in enumerate(fit.free_names):
         half = z * math.sqrt(cov_f[pos, pos])
-        center = theta[PARAM_NAMES.index(name)]
+        center = getattr(fit.params, name)
         out[name] = (center - half, center + half)
     return out
 

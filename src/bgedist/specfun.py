@@ -19,7 +19,7 @@ scalar paths (the information matrix, ``score``, the moment-matched
 fit start), which load no scipy module through them; the batched fit
 kernel takes psi and psi' from ``scipy.special``.  Whether the scalar
 paths should do the same is decided by paired CLI timings of the
-``scipy.special`` import (ROADMAP item 12).
+``scipy.special`` import (ROADMAP item 13).
 """
 
 from __future__ import annotations

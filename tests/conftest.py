@@ -6,11 +6,35 @@ import pytest
 from scipy import optimize, special, stats
 
 from bgedist import BGE, glass_fibre_sample
+from bgedist.inference import score_contributions
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: (name, ok, detail) tuples collected by the acceptance module.
 ACCEPTANCE_RESULTS: list = []
+
+
+def mc_expected_information(dist, n_draws, rng, rel_step=1e-5):
+    """Monte Carlo estimate of E[-d^2 l / d theta d theta^T] per observation.
+
+    Central finite differences of the analytic per-observation score
+    over ``n_draws`` draws from ``dist``.  Returns (estimate,
+    standard_errors), both 4x4.
+    """
+    y = dist.sample(n_draws, rng).values
+    theta = np.array(dist.params_tuple())
+    cols = []
+    for idx in range(4):
+        h = rel_step * theta[idx]
+        tp = theta.copy(); tp[idx] += h
+        tm = theta.copy(); tm[idx] -= h
+        cols.append((score_contributions(BGE(*tp), y)
+                     - score_contributions(BGE(*tm), y)) / (2.0 * h))
+    hess = np.stack(cols, axis=1)               # (n, 4, 4), d s_j / d theta_i
+    hess = 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
+    est = -hess.mean(axis=0)
+    se = hess.std(axis=0, ddof=1) / math.sqrt(n_draws)
+    return est, se
 
 
 @pytest.fixture(scope="session")

@@ -21,13 +21,12 @@ from bgedist import specfun as sf
 from bgedist.cli import main as cli_main
 from bgedist.datasets import GLASS_FIBRE_TOLERANCES as TOL, glass_fibre_sample
 from bgedist.inference import (fit_mle, information_matrix, lr_from_fits,
-                               log_likelihood, mc_expected_information,
-                               score_contributions)
+                               log_likelihood, score_contributions)
 from bgedist.order_stats import (MixtureTermBudget, OrderStatIndex,
                                  order_stat_pdf_direct, order_stat_pdf_mixture)
 from bgedist.series import cdf_series, mgf, pdf_mixture, raw_moment, skewness_kurtosis
 
-from conftest import ACCEPTANCE_RESULTS
+from conftest import ACCEPTANCE_RESULTS, mc_expected_information
 
 
 def _record(name, ok, detail):

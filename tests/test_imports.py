@@ -7,77 +7,57 @@ import sys
 from conftest import REPO_ROOT
 
 
-def test_import_loads_no_scipy_submodules():
+def _run(code: str) -> str:
+    """stdout of ``python -c code`` with the checkout's ``src`` first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = ("import sys, bgedist; "
-            "print(' '.join(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.special') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == ""
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_import_loads_no_scipy_submodules():
+    # statistics and argparse load only with the intervals and the CLI
+    out = _run("import sys, bgedist; "
+               "print(' '.join(m for m in ('scipy', 'numpy.random', 'statistics', 'argparse') "
+               "if m in sys.modules))")
+    assert out.strip() == ""
 
 
 def test_fit_with_covariance_loads_no_scipy_integrate():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = ("import sys; from bgedist import fit_mle, glass_fibre_sample; "
-            "fit = fit_mle(glass_fibre_sample(), 'bge'); "
-            "print(fit.covariance is not None, 'scipy.integrate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.split() == ["True", "False"]
+    out = _run("import sys; from bgedist import fit_mle, glass_fibre_sample; "
+               "fit = fit_mle(glass_fibre_sample(), 'bge'); "
+               "print(fit.covariance is not None, 'scipy.integrate' in sys.modules)")
+    assert out.split() == ["True", "False"]
 
 
 def test_order_stat_moment_loads_no_scipy_integrate():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = ("import sys; from bgedist import BGE; "
-            "from bgedist.order_stats import OrderStatIndex, order_stat_moment; "
-            "m = order_stat_moment(BGE(2, 1.5, 1, 2), OrderStatIndex(3, 3), 1); "
-            "print(m > 0.0, 'scipy.integrate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.split() == ["True", "False"]
+    out = _run("import sys; from bgedist import BGE; "
+               "from bgedist.order_stats import OrderStatIndex, order_stat_moment; "
+               "m = order_stat_moment(BGE(2, 1.5, 1, 2), OrderStatIndex(3, 3), 1); "
+               "print(m > 0.0, 'scipy.integrate' in sys.modules)")
+    assert out.split() == ["True", "False"]
 
 
 def test_moments_and_sweep_load_no_scipy_integrate_or_special():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = ("import io, sys; import bgedist.cli; from bgedist import BGE; "
-            "from bgedist.series import moment_set, shannon_entropy, skewness_kurtosis; "
-            "d = BGE(2, 0.35, 1, 1.5); moment_set(d); skewness_kurtosis(d); shannon_entropy(d); "
-            "bgedist.cli.main(['curve', '--params', '2,3,1,1.5', '--sweep', 'b', "
-            "'--grid', '0.35:2.35:6'], out=io.StringIO()); "
-            "print(' '.join(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == ""
+    out = _run("import io, sys; import bgedist.cli; from bgedist import BGE; "
+               "from bgedist.series import moment_set, shannon_entropy, skewness_kurtosis; "
+               "d = BGE(2, 0.35, 1, 1.5); moment_set(d); skewness_kurtosis(d); shannon_entropy(d); "
+               "bgedist.cli.main(['curve', '--params', '2,3,1,1.5', '--sweep', 'b', "
+               "'--grid', '0.35:2.35:6'], out=io.StringIO()); "
+               "print(' '.join(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))")
+    assert out.strip() == ""
 
 
 def test_bge_fit_loads_no_scipy_optimize():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = ("import sys; from bgedist import fit_mle, glass_fibre_sample; "
-            "fit = fit_mle(glass_fibre_sample(), 'bge'); "
-            "print(fit.model, 'scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.split() == ["bge", "False"]
+    out = _run("import sys; from bgedist import fit_mle, glass_fibre_sample; "
+               "fit = fit_mle(glass_fibre_sample(), 'bge'); "
+               "print(fit.model, 'scipy.optimize' in sys.modules)")
+    assert out.split() == ["bge", "False"]
 
 
 def test_reproduce_loads_no_scipy_optimize():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = ("import io, sys; import bgedist.cli; out = io.StringIO(); "
-            "code = bgedist.cli.main(['reproduce'], out=out); "
-            "print(code, len(out.getvalue()) > 0, 'scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.split()[1:] == ["True", "False"]
+    out = _run("import io, sys; import bgedist.cli; out = io.StringIO(); "
+               "code = bgedist.cli.main(['reproduce'], out=out); "
+               "print(code, len(out.getvalue()) > 0, 'scipy.optimize' in sys.modules)")
+    assert out.split()[1:] == ["True", "False"]
