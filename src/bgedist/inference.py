@@ -14,9 +14,8 @@ degenerates to a generalized gamma limit, so an unbounded "MLE" does not
 exist.  Fits that terminate on the box are reported with
 ``converged=False`` and the active bounds listed in ``hit_bounds``.  The
 expected information takes its beta expectations from a tanh-sinh rule
-on cached nodes, so ``inference`` loads neither ``scipy.integrate`` nor
-``scipy.optimize``; the fit takes psi and psi' from ``scipy.special``,
-imported on the first fit, so importing the package does not load it.
+on cached nodes, and the fit takes psi and psi' from ``specfun``, so
+fits, their covariance and likelihood-ratio tests load no scipy module.
 """
 
 from __future__ import annotations
@@ -122,15 +121,14 @@ def _loglik_score_hessian(theta: np.ndarray, y: np.ndarray, logy: np.ndarray):
     broadcast pass of ``_pieces``; ``logy`` is log(y).
 
     The log-likelihood has the bits of ``log_likelihood`` at each row.
-    The score and Hessian take psi and psi' from ``scipy.special``.
+    The score and Hessian take psi and psi' of a, b and a + b from one
+    call of the elementwise ``specfun._psi_trigamma``.
     With L = log u, L' = dL/dlam = y e^{-lam y}/u, L'' = -y^2 e^{-lam y}/u^2,
     M = log(1 - u^alpha) and r = u^alpha/(1 - u^alpha), the second
     derivatives need r(1 + r) = u^alpha/(1 - u^alpha)^2, which overflows
     where u^alpha rounds near 1; it is only formed in log space, inside
     its products with L^2, L L' and L'^2, which stay finite.
     """
-    from scipy.special import psi, zeta
-
     _, logf, z, logu, alogu, log1mua = _pieces(theta, y)
     ll = logf.sum(axis=1)
 
@@ -139,24 +137,34 @@ def _loglik_score_hessian(theta: np.ndarray, y: np.ndarray, logy: np.ndarray):
     log_dl = log_yu - z                             # log L'
     log_r = alogu - log1mua
     log_rr = log_r - log1mua                        # log r(1 + r)
-    terms = np.empty((8,) + z.shape)
-    for k, log_term in enumerate((
-            log_dl,                                 # L'
-            log_r + log_dl,                         # r L'
-            log_r + log_mlogu,                      # -r L
-            log_dl + log_yu,                        # -L''
-            log_rr + 2.0 * log_mlogu,               # r(1 + r) L^2
-            log_rr + 2.0 * log_dl,                  # r(1 + r) L'^2
-            log_rr + log_dl + log_mlogu,            # -r(1 + r) L L'
-            log_r + log_dl + log_yu)):              # -r L''
-        np.exp(log_term, out=terms[k])
-    s_dl, s_rdl, s_rl, s_ddl, s_rrll, s_rrdd, s_rrld, s_rddl = terms.sum(axis=2)
+    # The eight sums are formed one at a time in one scratch array: a
+    # pass that frees many (rows, n) temporaries lets the C heap shrink,
+    # and the next pass then faults its pages back in.
+    buf = np.empty_like(z)
+
+    def sum_exp(*log_parts):
+        """Row sums of exp(log_parts[0] + log_parts[1] + ...), the parts
+        added left to right in ``buf``."""
+        total = log_parts[0]
+        for part in log_parts[1:]:
+            total = np.add(total, part, out=buf)
+        return np.exp(total, out=buf).sum(axis=1)
+
+    two_log_mlogu, two_log_dl = 2.0 * log_mlogu, 2.0 * log_dl
+    s_dl = sum_exp(log_dl)                              # L'
+    s_rdl = sum_exp(log_r, log_dl)                      # r L'
+    s_rl = sum_exp(log_r, log_mlogu)                    # -r L
+    s_ddl = sum_exp(log_dl, log_yu)                     # -L''
+    s_rrll = sum_exp(log_rr, two_log_mlogu)             # r(1 + r) L^2
+    s_rrdd = sum_exp(log_rr, two_log_dl)                # r(1 + r) L'^2
+    s_rrld = sum_exp(log_rr, log_dl, log_mlogu)         # -r(1 + r) L L'
+    s_rddl = sum_exp(log_r, log_dl, log_yu)             # -r L''
     s_l, s_m = logu.sum(axis=1), log1mua.sum(axis=1)
 
     a, b, lam, alpha = theta.T
     n = y.size
-    psi_a, psi_b, psi_ab = psi([a, b, a + b])
-    tri_a, tri_b, tri_ab = zeta(2.0, [a, b, a + b])     # psi'
+    (psi_a, psi_b, psi_ab), (tri_a, tri_b, tri_ab) = specfun._psi_trigamma(
+        np.array([a, b, a + b]))
     am1, bm1 = alpha * a - 1.0, b - 1.0
     score = np.stack([
         alpha * s_l - n * (psi_a - psi_ab),
@@ -716,7 +724,8 @@ def confidence_intervals(fit: FitResult, gamma: float = 0.05) -> dict:
 
     Uses the inverse total expected information at the fitted point;
     only the model's free parameters receive intervals, each end a
-    Python float.
+    Python float.  Raises ``ValueError`` when that covariance is missing
+    or not positive definite on the free parameters.
     """
     from statistics import NormalDist
 
@@ -726,12 +735,17 @@ def confidence_intervals(fit: FitResult, gamma: float = 0.05) -> dict:
         raise ValueError("fit carries no covariance; cannot form intervals")
     free_idx = [PARAM_NAMES.index(p) for p in fit.free_names]
     cov_f = fit.covariance[np.ix_(free_idx, free_idx)]
-    if np.any(np.linalg.eigvalsh(cov_f) <= 0.0):
+    var = np.diag(cov_f)
+    # definiteness is tested on the correlation form: at a box-corner fit
+    # the variances span 1e16 and more, and the eigenvalues of cov_f
+    # itself then carry rounding errors larger than its smallest one
+    if not (np.all(var > 0.0) and np.all(
+            np.linalg.eigvalsh(cov_f / np.sqrt(np.outer(var, var))) > 0.0)):
         raise ValueError("covariance is not positive definite on the free parameters")
     z = NormalDist().inv_cdf(1.0 - gamma / 2.0)
     out = {}
     for pos, name in enumerate(fit.free_names):
-        half = z * math.sqrt(cov_f[pos, pos])
+        half = z * math.sqrt(var[pos])
         center = getattr(fit.params, name)
         out[name] = (center - half, center + half)
     return out

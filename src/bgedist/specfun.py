@@ -2,24 +2,27 @@
 
 Everything the rest of the package needs from classical analysis lives
 here: log-beta, the regularized incomplete beta ratio and its inverse,
-the digamma and trigamma functions, and the regularized upper
-incomplete gamma (for chi-square tail probabilities).  All functions are pure, deterministic
-and thread-safe; none touch global state.  All are scalar except
-``log_beta_array``, the elementwise log-beta of the series payloads.
+the digamma and trigamma functions, and the chi-square tail (for
+likelihood-ratio p-values).  All functions are pure, deterministic and
+thread-safe; none touch global state.  ``log_beta_array`` and the
+private ``_psi_trigamma`` work elementwise on arrays; the rest take and
+return floats.
 
-``inc_beta_ratio``, ``inc_beta_inverse``, ``reg_gamma_upper`` and
-``chi2_sf`` are thin wrappers over ``scipy.special.betainc``,
-``betaincinv`` and ``gammaincc``: they add the domain checks and the
-exact endpoints, and import scipy on first call so that importing the
-package stays cheap.  ``log_beta`` and ``polygamma`` (orders 0 and 1,
-the only ones the library calls) stay hand-written.  Against mpmath,
-``scipy.special.betaln`` loses about 1e-10 relative at b ~ 2e4 where
-``log_beta`` holds 3e-14.  ``digamma`` and ``trigamma`` serve the
-scalar paths (the information matrix, ``score``, the moment-matched
-fit start), which load no scipy module through them; the batched fit
-kernel takes psi and psi' from ``scipy.special``.  Whether the scalar
-paths should do the same is decided by paired CLI timings of the
-``scipy.special`` import (ROADMAP item 13).
+``inc_beta_ratio`` and ``inc_beta_inverse`` are thin wrappers over
+``scipy.special.betainc`` and ``betaincinv``: they add the domain checks
+and the exact endpoints, and import scipy on first call so that
+importing the package stays cheap.  ``log_beta_array`` takes
+``scipy.special.gammaln``.  Outside this module only
+``series._ge_moment_rows`` (psi and zeta(2..4, .)) and
+``order_stats._log_beta_cdf_pair`` (``betainc``, ``betaincc``) import
+``scipy.special``.  ``log_beta``, ``polygamma`` (orders 0 and 1),
+``_psi_trigamma`` and ``chi2_sf`` are written here, so the fit, its
+covariance and its likelihood-ratio tests load no scipy module.
+Against mpmath, ``scipy.special.betaln`` loses about 1e-10 relative at
+b ~ 2e4 where ``log_beta`` holds 3e-14.  The scalar ``digamma`` and
+``trigamma`` serve the information matrix, ``score`` and the
+moment-matched fit start; ``_psi_trigamma`` serves the batched fit
+kernel.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ __all__ = [
     "polygamma",
     "digamma",
     "trigamma",
-    "reg_gamma_upper",
     "chi2_sf",
 ]
 
@@ -160,8 +162,9 @@ def polygamma(x: float, order: int = 0) -> float:
     (trigamma).
 
     Uses the ascending recurrence to shift the argument above 10 and
-    evaluates the asymptotic (Bernoulli) series there.  Relative error
-    is ~1e-12 across x in [1e-3, 1e6].
+    evaluates the asymptotic (Bernoulli) series there.  Within about
+    1.4e-15 of mpmath, relative to max(|psi^(order)(x)|, 1), across x in
+    [1e-3, 1e6].
     """
     if order not in (0, 1):
         raise ValueError(f"polygamma order must be in {{0, 1}}, got {order}")
@@ -204,23 +207,56 @@ def trigamma(x: float) -> float:
     return polygamma(x, 1)
 
 
-def reg_gamma_upper(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x)/Gamma(s)."""
-    from scipy.special import gammaincc
+def _psi_trigamma(x):
+    """(psi(x), psi'(x)) elementwise over an array of x > 0.
 
-    if not (s > 0.0):
-        raise ValueError(f"reg_gamma_upper requires s > 0, got {s}")
-    if x < 0.0:
-        raise ValueError(f"reg_gamma_upper requires x >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    return float(gammaincc(s, x))
+    Both orders share one shift of every element by 10,
+    psi(x) = psi(x + 10) - sum_k 1/(x + k) and
+    psi'(x) = psi'(x + 10) + sum_k 1/(x + k)^2 over k = 0..9, formed in
+    one broadcast, and the Bernoulli tails of ``polygamma`` at x + 10 by
+    Horner's rule in 1/(x + 10)^2.  Within 1e-15 of mpmath, relative to
+    max(|psi^(m)(x)|, 1), over x in [e^-4.5, 2e4].
+    """
+    x = np.asarray(x, dtype=float)
+    r = 1.0 / (x[..., None] + np.arange(_POLY_SHIFT))
+    w = x + _POLY_SHIFT
+    inv = 1.0 / w
+    inv2 = inv * inv
+    tail0 = tail1 = 0.0
+    for k in range(len(_BERN2K), 0, -1):
+        tail0 = (tail0 + _BERN2K[k - 1] / (2 * k)) * inv2
+        tail1 = (tail1 + _BERN2K[k - 1]) * inv2
+    psi = np.log(w) - 0.5 * inv - tail0 - r.sum(axis=-1)
+    psi1 = inv + 0.5 * inv2 + inv * tail1 + (r * r).sum(axis=-1)
+    return psi, psi1
 
 
 def chi2_sf(x: float, dof: int) -> float:
-    """Chi-square survival function P(X > x) with ``dof`` degrees of freedom."""
-    if dof < 1:
-        raise ValueError(f"chi2_sf requires dof >= 1, got {dof}")
+    """Chi-square survival function P(X > x) for a positive integer
+    ``dof``, by the finite sums of Abramowitz & Stegun 26.4.4-5: with
+    h = x/2 and nu = 0 for even dof, 1/2 for odd dof,
+    P(X > x) = [erfc(sqrt(h)) if nu] + e^-h sum_{i < dof//2} h^(i+nu) / Gamma(i+nu+1).
+    """
+    if not (dof >= 1 and dof == int(dof)):
+        raise ValueError(f"chi2_sf requires a positive integer dof, got {dof}")
     if x <= 0.0:
         return 1.0
-    return reg_gamma_upper(0.5 * dof, 0.5 * x)
+    if x == math.inf:
+        return 0.0
+    h, nu = 0.5 * x, 0.5 * (int(dof) % 2)
+    total = 0.0
+    if nu:
+        # erfc at the rounded z = sqrt(h), corrected to first order in
+        # the exact residual h - z^2 (Veltkamp split): the rounding of z
+        # alone costs up to 2h * 2^-53 relative at large h
+        z = math.sqrt(h)
+        hi = z * 134217729.0
+        hi -= hi - z
+        lo = z - hi
+        resid = (h - hi * hi) - 2.0 * hi * lo - lo * lo
+        total = math.erfc(z) - resid * math.exp(-h) / (z * math.sqrt(math.pi))
+    term = math.exp(-h) * h ** nu / math.gamma(1.0 + nu)
+    for i in range(1, int(dof) // 2 + 1):
+        total += term
+        term *= h / (i + nu)
+    return total

@@ -61,3 +61,20 @@ def test_reproduce_loads_no_scipy_optimize():
                "code = bgedist.cli.main(['reproduce'], out=out); "
                "print(code, len(out.getvalue()) > 0, 'scipy.optimize' in sys.modules)")
     assert out.split()[1:] == ["True", "False"]
+
+
+def test_fit_commands_and_lr_tests_load_no_scipy():
+    data = repr(str(REPO_ROOT / "data" / "glass_fibre.txt"))
+    out = _run("import io, sys; import bgedist.cli; "
+               "from bgedist import fit_mle, glass_fibre_sample; "
+               "from bgedist.inference import lr_from_fits; "
+               "codes = [bgedist.cli.main(argv, out=io.StringIO()) for argv in ("
+               "['reproduce'], "
+               f"['compare', '--input', {data}, '--format', 'structured'], "
+               f"['fit', '--input', {data}, '--model', 'bge'])]; "
+               "y = glass_fibre_sample(); bge, ge = fit_mle(y, 'bge'), fit_mle(y, 'ge'); "
+               "lr = lr_from_fits(ge, bge); "
+               "print(*codes, bge.covariance is not None, 0.0 < lr.p_value < 1.0, "
+               "*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # compare and fit exit 3: the bge fit ends on the box
+    assert out.split() == ["0", "3", "3", "True", "True"]

@@ -195,7 +195,7 @@ class TestHessianKernel:
     @pytest.mark.parametrize("n", [63, 1000])
     def test_one_row_has_the_bits_of_the_1d_path(self, n):
         # the shared pieces and the log-likelihood keep their bits; the
-        # score takes psi from scipy.special, not specfun
+        # score takes psi from the elementwise _psi_trigamma, not digamma
         for theta, y in self.points(n):
             (_, *flat), (_, *rows) = inf._pieces(theta, y), inf._pieces(theta[None], y)
             for want, got in zip(flat, rows):
@@ -211,6 +211,18 @@ class TestHessianKernel:
         theta = np.exp(np.random.default_rng(6).uniform(-4.5, 4.5, size=(9, 4)))
         batch = inf._loglik_score_hessian(theta, y, np.log(y))
         for r in range(len(theta)):
+            alone = inf._loglik_score_hessian(theta[r:r + 1], y, np.log(y))
+            for got, want in zip(batch, alone):
+                np.testing.assert_array_equal(got[r:r + 1], want, strict=True)
+
+    def test_rows_of_a_full_block_do_not_depend_on_the_batch(self):
+        # the largest batch that _ascend passes at n = 63
+        y = BGE(2.0, 1.5, 1.0, 2.0).sample(63, np.random.default_rng(7)).values
+        rows = inf._KERNEL_BLOCK // y.size
+        assert rows == 65
+        theta = np.exp(np.random.default_rng(8).uniform(-4.5, 4.5, size=(rows, 4)))
+        batch = inf._loglik_score_hessian(theta, y, np.log(y))
+        for r in range(rows):
             alone = inf._loglik_score_hessian(theta[r:r + 1], y, np.log(y))
             for got, want in zip(batch, alone):
                 np.testing.assert_array_equal(got[r:r + 1], want, strict=True)
@@ -620,6 +632,22 @@ class TestConfidenceIntervals:
             ci = confidence_intervals(fit_mle(glass_fibre, model))
             assert set(ci) == set(inf.MODEL_FREE_PARAMS[model])
             assert all(type(end) is float for ends in ci.values() for end in ends), ci
+
+    def test_definiteness_resolved_across_scales(self):
+        # a positive definite covariance whose variances span 1e16, as at
+        # a box-corner fit: the eigenvalues of the matrix itself are
+        # swamped by rounding, those of its correlation form are not
+        sd = np.array([3e7, 0.1, 1.0, 3e7])
+        fit = inf.FitResult("bge", BGE(1.0, 1.0, 1.0, 1.0), 0.0, 0.0, False, 0, 63,
+                            covariance=(0.5 * np.eye(4) + 0.5) * np.outer(sd, sd))
+        z = 1.959963984540054
+        ci = confidence_intervals(fit)
+        assert [hi - 1.0 for _, hi in ci.values()] == pytest.approx(z * sd, rel=1e-12)
+        corr = np.eye(4)
+        corr[0, 1] = corr[1, 0] = 1.5          # eigenvalue -0.5
+        with pytest.raises(ValueError, match="positive definite"):
+            confidence_intervals(inf.FitResult("bge", BGE(1.0, 1.0, 1.0, 1.0), 0.0, 0.0, False,
+                                               0, 63, covariance=corr * np.outer(sd, sd)))
 
     def test_gamma_domain(self, rng):
         y = BGE.exponential(0.5).sample(50, rng)

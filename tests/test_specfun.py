@@ -189,18 +189,41 @@ class TestPolygamma:
             sf.polygamma(1.0, 4)
 
 
-class TestRegGammaUpper:
-    def test_endpoints(self):
-        assert sf.reg_gamma_upper(2.5, 0.0) == 1.0
+class TestPsiTrigamma:
+    def test_vs_mpmath_over_the_box(self):
+        # a, b and a + b over the default box |log theta| <= 4.5, as a
+        # 2-D array like the fit kernel's (3, rows)
+        x = np.exp(np.linspace(-4.5, math.log(2e4), 400)).reshape(2, 200)
+        for order, values in enumerate(sf._psi_trigamma(x)):
+            assert values.shape == x.shape
+            for xi, v in zip(x.ravel(), values.ravel()):
+                want = mp.polygamma(order, mp.mpf(float(xi)))
+                assert abs(v - want) <= 1e-14 * max(abs(want), 1), (order, xi)
 
-    def test_vs_mpmath(self):
-        for s in (0.5, 1.0, 3.7, 31.5):
-            for x in (0.1, 1.0, 5.0, 40.0):
-                want = float(mp.gammainc(s, x, mp.inf, regularized=True))
-                assert sf.reg_gamma_upper(s, x) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
+class TestChi2Sf:
     def test_chi2_sf_known(self):
         # X ~ chi2_2 has sf(x) = exp(-x/2)
         assert sf.chi2_sf(3.0, 2) == pytest.approx(math.exp(-1.5), rel=1e-13)
         with pytest.raises(ValueError):
             sf.chi2_sf(1.0, 0)
+
+    @pytest.mark.parametrize("dof", range(1, 7))
+    def test_vs_mpmath_no_worse_than_scipy(self, dof):
+        from scipy.special import chdtrc
+
+        worst = worst_scipy = 0.0
+        for x in np.exp(np.linspace(math.log(1e-10), math.log(1400.0), 300)):
+            want = mp.gammainc(mp.mpf(dof) / 2, mp.mpf(float(x)) / 2, mp.inf, regularized=True)
+            worst = max(worst, float(abs(sf.chi2_sf(float(x), dof) - want) / want))
+            worst_scipy = max(worst_scipy, float(abs(chdtrc(dof, x) - want) / want))
+        assert worst <= min(worst_scipy, 1e-15), (worst, worst_scipy)
+
+    def test_endpoints(self):
+        assert sf.chi2_sf(0.0, 3) == 1.0
+        assert sf.chi2_sf(math.inf, 1) == 0.0
+        assert sf.chi2_sf(2000.0, 2) == 0.0
+
+    def test_non_integer_dof_raises(self):
+        with pytest.raises(ValueError):
+            sf.chi2_sf(1.0, 1.5)
