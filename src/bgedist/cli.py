@@ -92,6 +92,8 @@ def _parse_grid(text: str) -> tuple:
         points = int(parts[2])
     except ValueError as exc:
         raise UsageError(f"invalid --grid: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError("--grid requires finite min and max")
     if points < 2 or not lo < hi:
         raise UsageError("--grid requires points >= 2 and min < max")
     return lo, hi, points

@@ -12,8 +12,9 @@ Moments are expectations over the latent Beta(a, b) variate, summed in
 log space by the tanh-sinh rule that the expected information uses
 (``distribution._tanh_sinh_log_integral``): halving the step until two
 levels agree to 1e-12 relative, and raising ``RuntimeError`` if the
-last two still differ by more than 1e-8.  No quadrature cut is placed
-on the x axis, so ``scipy.integrate`` is not loaded.
+last two still differ by more than 1e-8.  I_V and 1 - I_V on the nodes
+come from ``distribution._log_beta_cdf_pair``.  No quadrature cut is
+placed on the x axis, so ``scipy.integrate`` is not loaded.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import specfun
-from .distribution import _TS_FAIL_RTOL, BGE, _log_latent_transform, _tanh_sinh_log_integral
+from .distribution import (_TS_FAIL_RTOL, BGE, _log_beta_cdf_pair, _log_latent_transform,
+                           _tanh_sinh_log_integral)
 from .series import SeriesControl, DEFAULT_CONTROL, mgf, raw_moment
 
 __all__ = [
@@ -81,11 +81,6 @@ class MixtureTermBudget:
 
 
 DEFAULT_BUDGET = MixtureTermBudget()
-
-#: Below e^-690 (about 1e-300) the small beta-cdf argument is treated as
-#: underflowed: its series is then exact to double precision in the
-#: leading term.
-_LOG_TINY = -690.0
 
 
 def order_stat_pdf_direct(dist: BGE, idx: OrderStatIndex, x: float) -> float:
@@ -219,31 +214,6 @@ def order_stat_pdf_mixture(dist: BGE, idx: OrderStatIndex, x: float,
     if x <= 0.0:
         raise ValueError(f"order_stat_pdf_mixture requires x > 0, got {x}")
     return _mixture_value(dist, idx, lambda comp: comp.pdf(x), budget, ctl)
-
-
-def _log_beta_cdf_pair(a: float, b: float, log_beta_ab: float, logv, log1mv):
-    """Rows log I_v(a, b) and log(1 - I_v(a, b)), each from whichever of v
-    and 1 - v is small, so that neither tail rounds to 0 or 1.
-
-    The side s of the small argument x is ``betainc``; the other side is
-    log1p(-s), exact to rounding while s <= 1/2, and ``betaincc`` above.
-    Where x underflows, s is the leading term x^p / (p B(a, b)) of its
-    series: ``betainc`` and ``betaincc`` would give 0 and 1 there."""
-    from scipy.special import betainc, betaincc
-
-    low = logv <= log1mv                     # v <= 1/2
-    logx = np.where(low, logv, log1mv)
-    p, q = np.where(low, a, b), np.where(low, b, a)
-    tiny = logx < _LOG_TINY
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lead = p * logx - np.log(p) - log_beta_ab
-        x = np.exp(logx)
-        s = np.where(tiny, np.exp(lead), betainc(p, q, x))
-        small = np.where(tiny, lead, np.log(s))
-        large = np.log1p(-s)
-        big = s > 0.5
-        large[big] = np.log(betaincc(p[big], q[big], x[big]))
-    return np.where(low, small, large), np.where(low, large, small)
 
 
 def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int,

@@ -1,23 +1,21 @@
 """Special-function kernel.
 
-Everything the rest of the package needs from classical analysis lives
-here: log-beta, the regularized incomplete beta ratio and its inverse,
-the digamma and trigamma functions, and the chi-square tail (for
+Everything the rest of the package needs from classical analysis and
+does not take straight from ``scipy.special`` lives here: log-beta, the
+digamma and trigamma functions, and the chi-square tail (for
 likelihood-ratio p-values).  All functions are pure, deterministic and
 thread-safe; none touch global state.  ``log_beta_array`` and the
 private ``_psi_trigamma`` work elementwise on arrays; the rest take and
 return floats.
 
-``inc_beta_ratio`` and ``inc_beta_inverse`` are thin wrappers over
-``scipy.special.betainc`` and ``betaincinv``: they add the domain checks
-and the exact endpoints, and import scipy on first call so that
-importing the package stays cheap.  ``log_beta_array`` takes
-``scipy.special.gammaln``.  Outside this module only
-``series._ge_moment_rows`` (psi and zeta(2..4, .)) and
-``order_stats._log_beta_cdf_pair`` (``betainc``, ``betaincc``) import
-``scipy.special``.  ``log_beta``, ``polygamma`` (orders 0 and 1),
-``_psi_trigamma`` and ``chi2_sf`` are written here, so the fit, its
-covariance and its likelihood-ratio tests load no scipy module.
+The incomplete beta ratio and its inverses are ``scipy.special``'s,
+called by ``distribution`` on whichever side is at most 1/2.
+``log_beta_array`` takes ``gammaln`` from it, and
+``series._ge_moment_rows`` psi and zeta(2..4, .); each imports scipy on
+first call so that importing the package stays cheap.  ``log_beta``,
+``polygamma`` (orders 0 and 1), ``_psi_trigamma`` and ``chi2_sf`` are
+written here, so the fit, its covariance and its likelihood-ratio tests
+load no scipy module.
 Against mpmath, ``scipy.special.betaln`` loses about 1e-10 relative at
 b ~ 2e4 where ``log_beta`` holds 3e-14.  The scalar ``digamma`` and
 ``trigamma`` serve the information matrix, ``score`` and the
@@ -35,8 +33,6 @@ __all__ = [
     "log_beta",
     "log_beta_array",
     "lgamma_diff",
-    "inc_beta_ratio",
-    "inc_beta_inverse",
     "polygamma",
     "digamma",
     "trigamma",
@@ -105,50 +101,6 @@ def log_beta_array(a, b) -> np.ndarray:
                                      + small * np.log(y + small) - small
                                      + _stirling_tail(y + small) - _stirling_tail(y))
     return np.where(big < 15.0, direct, stirling)
-
-
-def inc_beta_ratio(y: float, a: float, b: float) -> float:
-    """Regularized incomplete beta ratio I_y(a, b).
-
-    Parameters
-    ----------
-    y : float
-        Evaluation point in [0, 1].
-    a, b : float
-        Positive shape parameters.
-
-    Returns
-    -------
-    float
-        I_y(a, b), the cdf of a Beta(a, b) variate at y.
-    """
-    from scipy.special import betainc
-
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"inc_beta_ratio requires positive shapes, got ({a}, {b})")
-    if not (0.0 <= y <= 1.0):
-        raise ValueError(f"inc_beta_ratio requires y in [0, 1], got {y}")
-    if y == 0.0:
-        return 0.0
-    if y == 1.0:
-        return 1.0
-    return float(betainc(a, b, y))
-
-
-def inc_beta_inverse(p: float, a: float, b: float) -> float:
-    """Inverse of ``inc_beta_ratio`` in its first argument: the y with
-    I_y(a, b) = p.  Returns 0.0 where that y underflows."""
-    from scipy.special import betaincinv
-
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"inc_beta_inverse requires positive shapes, got ({a}, {b})")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"inc_beta_inverse requires p in [0, 1], got {p}")
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    return float(betaincinv(a, b, p))
 
 
 # Bernoulli numbers B_2k, k = 1..6, for the asymptotic tails (the

@@ -71,6 +71,10 @@ class TestInputParsing:
         assert run_cli("sample", "--params", "1,1,1,1")[0] == EXIT_USAGE
         assert run_cli("curve", "--params", "1,1,1", "--grid", "0:1:9")[0] == EXIT_USAGE
         assert run_cli("curve", "--params", "1,1,1,1", "--grid", "2:1:9")[0] == EXIT_USAGE
+        # a non-finite grid end is refused before any row is printed
+        assert run_cli("curve", "--params", "1,1,1,1", "--grid", "0:inf:4") == (EXIT_USAGE, "")
+        assert run_cli("curve", "--params", "1,1,1,1", "--sweep", "a",
+                       "--grid", "0.5:inf:3") == (EXIT_USAGE, "")
 
     def test_flags_of_other_subcommands_are_refused(self, glass_file):
         # each subcommand parses only its own flags

@@ -1,6 +1,7 @@
 """Distribution object: densities, tails, quantiles, sampling."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -9,9 +10,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from bgedist import BGE, Sample
-from bgedist.distribution import log1mexp
+from bgedist.distribution import _log_density, log1mexp
 
 mp.mp.dps = 40
+
+
+def log_u(dist, x):
+    """log(1 - e^(-lam x)), clamped below 0 as the log-density takes it."""
+    return _log_density(dist.params_tuple(), 0.0, x)[2]
 
 
 def mp_pdf(dist, x):
@@ -106,6 +112,22 @@ class TestCdfSurvival:
         d = BGE(2, 3, 1, 1)
         want = quad(d.pdf, 3.0, 60.0, limit=300)[0]
         assert d.survival(3.0) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("params, x", [
+        ((0.02, 2.0, 1.0, 1.0), 1e-20),   # 1 - G rounds to 1
+        ((2.0, 0.05, 1.0, 1.0), 30.0),    # G rounds to just below 1
+        ((0.02, 0.02, 1.0, 0.5), 40.0),   # G rounds to 1
+        ((0.02, 2.0, 1.0, 90.0), 1e-10),  # G = 1e-900 underflows
+    ])
+    def test_box_corners_against_mpmath(self, params, x):
+        d = BGE(*params)
+        with mp.workdps(60):
+            a, b, lam, alpha = (mp.mpf(repr(v)) for v in params)
+            g = (-mp.expm1(-lam * mp.mpf(repr(x)))) ** alpha
+            want_cdf = float(mp.betainc(a, b, 0, g, regularized=True))
+            want_sf = float(mp.betainc(a, b, g, 1, regularized=True))
+        assert d.cdf(x) == pytest.approx(want_cdf, rel=1e-13, abs=0.0)
+        assert d.survival(x) == pytest.approx(want_sf, rel=1e-13, abs=0.0)
 
     def test_complementarity(self, rng):
         for _ in range(200):
@@ -229,7 +251,7 @@ class TestQuantile:
                 p = d.cdf(x)
                 if not 1e-12 < p < 1.0 - 1e-13:
                     continue
-                eps_y = -math.expm1(d.alpha * float(d._log_u(x)))
+                eps_y = -math.expm1(d.alpha * float(log_u(d, x)))
                 tol = (1e-8 + 4.0 * ulp / max(d.pdf(x), 1e-290)
                        + 4.0 * ulp / (d.lam * max(eps_y, 1e-15)))
                 assert d.quantile(p) == pytest.approx(x, abs=tol)
@@ -239,6 +261,18 @@ class TestQuantile:
             d = BGE(*rng.uniform(0.4, 3.0, size=4))
             p = float(rng.uniform(1e-4, 1.0 - 1e-4))
             assert d.cdf(d.quantile(p)) == pytest.approx(p, abs=1e-9)
+
+    @pytest.mark.parametrize("params, p, want", [
+        # roots in x by mpmath at 40-60 digits; 1 - V is 1.1e-85 at the
+        # first point
+        ((0.02, 0.02, 1.0, 0.5), 0.99, 194.93996946877962),
+        ((57.07, 0.0201, 0.0677, 0.437), 0.3588, 382.25750917296662),
+        # betaincinv(a, b, p) returns 2^-56 here, where V is 2.28e-17
+        ((1.2348043624430136, 0.02473393138497943, 76.51480397627027, 1.9013428583870975),
+         5.697955174254452e-23, 2.3096722490704442e-11),
+    ])
+    def test_small_b_against_mpmath(self, params, p, want):
+        assert BGE(*params).quantile(p) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_domain(self):
         d = BGE(1, 1, 1, 1)
@@ -252,6 +286,41 @@ class TestQuantile:
         d = BGE(0.029272590475917508, 2.057727328657118, 0.6196796010661249,
                 0.06049645040918779)
         assert d.quantile(1e-9) == 0.0
+
+
+class TestBoxSweep:
+    """300 points log-uniform over the box [e^-4.5, e^4.5]^4, each at 40
+    x with lam*x log-spaced over [e^-25, e^6.5]: both tails of G."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        rng = np.random.default_rng(0)
+        out = []
+        for params in np.exp(rng.uniform(-4.5, 4.5, size=(300, 4))):
+            d = BGE(*map(float, params))
+            out += [(d, float(x)) for x in np.exp(np.linspace(-25.0, 6.5, 40)) / d.lam]
+        return out
+
+    def test_cdf_plus_survival_is_one(self, sweep):
+        for d, x in sweep:
+            assert abs(d.cdf(x) + d.survival(x) - 1.0) <= 1e-11, (d, x)
+
+    def test_quantile_roundtrip_on_small_side(self, sweep):
+        # cdf or survival of quantile(p), whichever is at most 1/2, against
+        # p or 1 - p at p = cdf(x), wherever x is a normal double and
+        # V = G(x) and 1 - V are both representable
+        checked = 0
+        for d, x in sweep:
+            p = d.cdf(x)
+            log_v = d.alpha * log1mexp(d.lam * x)
+            if not (0.0 < p < 1.0 and x >= sys.float_info.min
+                    and math.exp(log_v) >= 1e-290 and -math.expm1(log_v) >= 1e-290):
+                continue
+            checked += 1
+            q = d.quantile(p)
+            got, want = (d.cdf(q), p) if p <= 0.5 else (d.survival(q), 1.0 - p)
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0), (d, p, q)
+        assert checked > 8000
 
 
 class TestSampling:
@@ -329,14 +398,14 @@ class TestScalarArrayAgreement:
         for d in dists:
             for z in Z_GRID:
                 x = z / d.lam
-                assert _ulps(d._log_u(x), d._log_u(np.array([x]))[0]) <= 1.0, (d, x)
-            assert d._log_u(800.0 / d.lam) == -1e-300
+                assert _ulps(log_u(d, x), log_u(d, np.array([x]))[0]) <= 1.0, (d, x)
+            assert log_u(d, 800.0 / d.lam) == -1e-300
 
     def test_logpdf_and_pdf(self, dists):
         for d in dists:
             for z in Z_GRID:
                 x = z / d.lam
-                logu = d._log_u(x)
+                logu = log_u(d, x)
                 terms = (math.log(d.alpha * d.lam) - d.log_beta_ab, d.lam * x,
                          (d.alpha * d.a - 1.0) * logu,
                          (d.b - 1.0) * log1mexp(-d.alpha * logu))

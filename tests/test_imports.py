@@ -78,3 +78,15 @@ def test_fit_commands_and_lr_tests_load_no_scipy():
                "*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     # compare and fit exit 3: the bge fit ends on the box
     assert out.split() == ["0", "3", "3", "True", "True"]
+
+
+def test_curve_and_quantile_load_scipy_special_only():
+    # the incomplete beta ratio and its inverses are scipy.special's,
+    # imported on first call rather than with the package
+    for call in ("bgedist.cli.main(['curve', '--params', '2,3,1,1.5', "
+                 "'--grid', '0.001:8:2000'], out=io.StringIO())",
+                 "BGE(2, 0.05, 1, 1).quantile(0.99)"):
+        out = _run("import io, sys; import bgedist.cli; from bgedist import BGE; "
+                   f"{call}; print(' '.join(m for m in "
+                   "('scipy.special', 'scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+        assert out.split() == ["scipy.special"], call
