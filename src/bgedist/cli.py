@@ -16,10 +16,7 @@ import sys
 import numpy as np
 
 from .datasets import GLASS_FIBRE_REFERENCE, GLASS_FIBRE_TOLERANCES, glass_fibre_sample
-from .distribution import BGE, Sample
-from .inference import (MODEL_FREE_PARAMS, FitResult, _fmt, confidence_intervals,
-                        fit_mle, fit_result_kv, lr_from_fits, lr_result_kv)
-from .series import skewness_kurtosis
+from .distribution import BGE, MODEL_FREE_PARAMS, Sample
 
 __all__ = ["main"]
 
@@ -105,7 +102,9 @@ def _load_data(args) -> Sample:
     return Sample(read_positive_column(args.input), label=args.input)
 
 
-def _print_fit_human(fit: FitResult, out) -> None:
+def _print_fit_human(fit, out) -> None:
+    from .inference import _fmt, confidence_intervals
+
     p = fit.params
     print(f"model: {fit.model}", file=out)
     shown = MODEL_FREE_PARAMS[fit.model]
@@ -129,6 +128,8 @@ def _print_fit_human(fit: FitResult, out) -> None:
 
 
 def cmd_fit(args, out) -> int:
+    from .inference import fit_mle, fit_result_kv
+
     data = _load_data(args)
     fit = fit_mle(data, args.model)
     if args.format == "structured":
@@ -139,6 +140,8 @@ def cmd_fit(args, out) -> int:
 
 
 def cmd_compare(args, out) -> int:
+    from .inference import _fmt, fit_mle, fit_result_kv, lr_from_fits, lr_result_kv
+
     data = _load_data(args)
     fits = {m: fit_mle(data, m) for m in ("bge", "be", "ge")}
     tests = [lr_from_fits(fits["be"], fits["bge"]),
@@ -184,26 +187,27 @@ def cmd_curve(args, out) -> int:
     if args.sweep is not None:
         if lo <= 0.0:
             raise UsageError("--sweep grid must be positive")
+        from .series import skewness_kurtosis
+
         print(f"# {args.sweep}\tskewness\tkurtosis", file=out)
         base = list(dist.params_tuple())
         pos = {"a": 0, "b": 1}[args.sweep]
         for value in np.linspace(lo, hi, points):
             base[pos] = float(value)
             skew, kurt = skewness_kurtosis(BGE(*base))
-            print(f"{_fmt(value)}\t{_fmt(skew)}\t{_fmt(kurt)}", file=out)
+            print(f"{value:.10g}\t{skew:.10g}\t{kurt:.10g}", file=out)
         return EXIT_OK
     if lo < 0.0:
         raise UsageError("curve grid must start at x >= 0")
-    print("# x\tpdf\tcdf\thazard", file=out)
-    for x in np.linspace(lo, hi, points):
-        x = float(x)
-        pdf = dist.pdf(x) if x > 0 else dist.pdf(0.0)
-        cdf = dist.cdf(x)
-        try:
-            hz = dist.hazard(x) if x > 0 else float("nan")
-        except OverflowError:
-            hz = float("inf")
-        print(f"{_fmt(x)}\t{_fmt(pdf)}\t{_fmt(cdf)}\t{_fmt(hz)}", file=out)
+    x = np.linspace(lo, hi, points)
+    pdf, surv = dist.pdf(x), dist.survival(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # hazard at x > 0, and inf where the survival underflows
+        hz = np.where(x > 0.0, np.where(surv == 0.0, np.inf, pdf / surv), np.nan)
+    rows = zip(x.tolist(), pdf.tolist(), dist.cdf(x).tolist(), hz.tolist())
+    # .10g, as _fmt formats a float; one write for the whole table
+    out.write("# x\tpdf\tcdf\thazard\n"
+              + "".join(f"{v:.10g}\t{f:.10g}\t{c:.10g}\t{h:.10g}\n" for v, f, c, h in rows))
     return EXIT_OK
 
 
@@ -218,6 +222,8 @@ def _check_rel(value: float, target: float, rel: float) -> str:
 def cmd_reproduce(args, out) -> int:
     """Fit the embedded glass-fibre data and compare with the published
     reference values at the documented tolerances."""
+    from .inference import _fmt, confidence_intervals, fit_mle, lr_from_fits
+
     data = glass_fibre_sample()
     ref = GLASS_FIBRE_REFERENCE
     fits = {m: fit_mle(data, m) for m in ("ge", "be", "bge")}

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
-from .distribution import (_TS_FAIL_RTOL, BGE, Sample, _log_density, _log_latent_transform,
-                           _log_norm, _tanh_sinh_log_integral)
+from .distribution import (_TS_FAIL_RTOL, BGE, MODEL_FREE_PARAMS, PARAM_NAMES, Sample,
+                           _log_density, _log_latent_transform, _log_norm,
+                           _tanh_sinh_log_integral)
 
 __all__ = [
     "PARAM_NAMES",
@@ -50,17 +51,6 @@ __all__ = [
     "parse_fit_result_kv",
     "lr_result_kv",
 ]
-
-PARAM_NAMES = ("a", "b", "lam", "alpha")
-
-#: Free parameters per model tag; the rest are pinned at 1.
-MODEL_FREE_PARAMS = {
-    "bge": ("a", "b", "lam", "alpha"),
-    "be": ("a", "b", "lam"),
-    "ge": ("lam", "alpha"),
-    "dge": ("b", "lam", "alpha"),
-    "exp": ("lam",),
-}
 
 #: Half-width of the default search box in log-parameter space.
 DEFAULT_LOG_BOUND = 4.5

@@ -306,7 +306,7 @@ class TestSamplerSuite:
         worst = 0.0
         for i, d in enumerate(self.POINTS):
             draws = np.sort(d.sample(n, np.random.default_rng(4242 + i)).values)
-            probs = np.array([d.cdf(float(x)) for x in draws])
+            probs = d.cdf(draws)
             grid = np.arange(n)
             stat = float(np.max(np.maximum(probs - grid / n, (grid + 1) / n - probs)))
             worst = max(worst, stat)

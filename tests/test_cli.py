@@ -223,6 +223,16 @@ class TestCurveCommand:
         hazards = [float(r[3]) for r in rows]
         assert all(h == pytest.approx(2.0, rel=1e-9) for h in hazards)
 
+    def test_origin_and_underflow_rows(self):
+        # x = 0 prints the density's limit and a nan hazard; where the
+        # survival underflows (e^-750) the hazard prints as inf
+        code, text = run_cli("curve", "--params", "1,1,1,1", "--grid", "0:1000:5")
+        assert code == EXIT_OK
+        rows = [line.split("\t") for line in text.splitlines()[1:]]
+        assert rows[0] == ["0", "1", "0", "nan"]
+        assert [r[3] for r in rows[1:]] == ["1", "1", "inf", "inf"]
+        assert [r[1] for r in rows[3:]] == ["0", "0"]
+
     def test_pdf_column_integrates_to_one(self):
         code, text = run_cli("curve", "--params", "2,3,1,1.5", "--grid", "0.0001:12:4000")
         assert code == EXIT_OK

@@ -76,10 +76,16 @@ class TestPdf:
         d = BGE(0.5, 2.0, 1.5, 2.0)                                 # alpha a == 1
         assert d.pdf(0.0) == pytest.approx(
             d.alpha * d.lam * math.exp(-d.log_beta_ab), rel=1e-14)
+        # an array takes the same limit at its zeros and the density elsewhere
+        for d in (BGE(2, 1, 1, 1), BGE(0.5, 1, 1, 1), d):
+            got = d.pdf(np.array([0.0, 0.7, 0.0]))
+            assert got[0] == got[2] == d.pdf(0.0) and got[1] > 0.0
 
     def test_negative_x_raises(self):
         with pytest.raises(ValueError):
             BGE(1, 1, 1, 1).pdf(-0.1)
+        with pytest.raises(ValueError, match="got -0.5"):    # the first negative element
+            BGE(1, 1, 1, 1).pdf(np.array([1.0, 0.0, -0.5, -2.0]))
 
     def test_integrates_to_one_on_grid(self, parameter_grid):
         for d in parameter_grid:
@@ -99,6 +105,9 @@ class TestCdfSurvival:
         assert d.cdf(0.0) == 0.0
         assert d.cdf(-1.0) == 0.0
         assert d.survival(0.0) == 1.0
+        x = np.array([-1.0, 0.0, 1.5])
+        assert d.cdf(x).tolist() == [0.0, 0.0, d.cdf(1.5)]
+        assert d.survival(x).tolist() == [1.0, 1.0, d.survival(1.5)]
 
     def test_ge_closed_form(self):
         assert BGE.ge(1.0, 2.0).cdf(math.log(2.0)) == pytest.approx(0.25, abs=1e-14)
@@ -217,6 +226,12 @@ class TestHazard:
         d = BGE(1, 1, 1, 1)
         with pytest.raises(OverflowError):
             d.hazard(1e6)
+        # an array raises where its first element would: here survival
+        # underflows at x = 800, and x = 0 comes later
+        with pytest.raises(OverflowError, match="x=800.0"):
+            d.hazard(np.array([1.0, 800.0, 0.0]))
+        with pytest.raises(ValueError, match="got -1.0"):
+            d.hazard(np.array([1.0, -1.0, 800.0]))
 
 
 class TestQuantile:
@@ -276,9 +291,11 @@ class TestQuantile:
 
     def test_domain(self):
         d = BGE(1, 1, 1, 1)
-        for p in (0.0, 1.0, -0.2, 1.3):
+        for p in (0.0, 1.0, -0.2, 1.3, math.nan):
             with pytest.raises(ValueError):
                 d.quantile(p)
+        with pytest.raises(ValueError, match="got 1.3"):
+            d.quantile(np.array([0.5, 1.3, 0.0]))
 
     def test_underflowed_beta_quantile_is_zero(self):
         # the Beta(a, b) quantile of 1e-9 underflows to 0 at this small-a
@@ -338,7 +355,7 @@ class TestSampling:
         d = BGE(2, 1.5, 1.0, 2.0)
         draws = np.sort(d.sample(100_000, np.random.default_rng(12)).values)
         n = draws.size
-        probs = np.array([d.cdf(float(x)) for x in draws[:: 50]])
+        probs = d.cdf(draws[:: 50])
         idx = np.arange(0, n, 50)
         stat = np.max(np.maximum(probs - idx / n, (idx + 50) / n - probs))
         assert stat < 1.63 / math.sqrt(n) + 50.0 / n  # 1% critical value, coarse grid slack
@@ -376,6 +393,14 @@ class TestScalarArrayAgreement:
     logpdf adds that difference, scaled by its coefficient, to the other
     terms; where the terms cancel the sum can move by many of its own
     ulps, so logpdf is held to 2 ulps of its largest term.
+
+    cdf and survival take the same ``betainc`` and ``betaincc`` calls, at
+    log G from log1mexp (1 ulp, so |log G| ulps absolute) and at G or
+    1 - G from exp or expm1 (1 ulp).  A value v moves by kappa times the
+    change in log G, kappa = |d log v / d log G| = G^a (1 - G)^(b-1) /
+    (B(a, b) v), so it is held to 2 + 2 kappa (1 + |log G|) ulps.  The
+    hazard adds the pdf's and the survival's bounds.  The quantile loops
+    the scalar inverse: equal.
     """
 
     @pytest.fixture(scope="class")
@@ -401,15 +426,19 @@ class TestScalarArrayAgreement:
                 assert _ulps(log_u(d, x), log_u(d, np.array([x]))[0]) <= 1.0, (d, x)
             assert log_u(d, 800.0 / d.lam) == -1e-300
 
+    @staticmethod
+    def _logpdf_tol(d, x):
+        """The bound on logpdf at x: 2 ulps of its largest term."""
+        logu = log_u(d, x)
+        terms = (math.log(d.alpha * d.lam) - d.log_beta_ab, d.lam * x,
+                 (d.alpha * d.a - 1.0) * logu, (d.b - 1.0) * log1mexp(-d.alpha * logu))
+        return 2.0 * np.spacing(max(abs(t) for t in terms))
+
     def test_logpdf_and_pdf(self, dists):
         for d in dists:
             for z in Z_GRID:
                 x = z / d.lam
-                logu = log_u(d, x)
-                terms = (math.log(d.alpha * d.lam) - d.log_beta_ab, d.lam * x,
-                         (d.alpha * d.a - 1.0) * logu,
-                         (d.b - 1.0) * log1mexp(-d.alpha * logu))
-                tol = 2.0 * np.spacing(max(abs(t) for t in terms))
+                tol = self._logpdf_tol(d, x)
                 got, want = d.logpdf(x), d.logpdf(np.array([x]))[0]
                 assert abs(got - want) <= tol, (d, x)
                 want_pdf = np.exp(want)
@@ -417,6 +446,57 @@ class TestScalarArrayAgreement:
                     assert abs(d.pdf(x) - want_pdf) <= (tol + 4e-16) * want_pdf, (d, x)
                 else:
                     assert d.pdf(x) == want_pdf, (d, x)
+            # the array pdf is exp of the array logpdf held above
+            xs = np.array(Z_GRID) / d.lam
+            assert np.array_equal(d.pdf(xs), np.exp(d.logpdf(xs))), d
+
+    @staticmethod
+    def _tail_ulps(d, x, value):
+        """The bound on a cdf or survival value v at x, in ulps of v."""
+        log_g = d.alpha * log1mexp(d.lam * x)
+        log_kappa = (d.a * log_g + (d.b - 1.0) * log1mexp(-log_g) - d.log_beta_ab
+                     - math.log(value))
+        return 2.0 + 2.0 * math.exp(min(log_kappa, 700.0)) * (1.0 + abs(log_g))
+
+    def test_cdf_and_survival(self, dists):
+        for d in dists:
+            xs = np.array(Z_GRID) / d.lam
+            for name in ("cdf", "survival"):
+                fn = getattr(d, name)
+                for x, got in zip(xs.tolist(), fn(xs)):
+                    want = fn(x)
+                    if want == 0.0:
+                        assert got == 0.0, (d, name, x)
+                    else:
+                        assert _ulps(got, want) <= self._tail_ulps(d, x, want), (d, name, x)
+
+    def test_hazard(self, dists):
+        for d in dists:
+            xs = np.array(Z_GRID) / d.lam
+            xs = xs[d.survival(xs) > 0.0]       # the rest raise, as tested elsewhere
+            for x, got in zip(xs.tolist(), d.hazard(xs)):
+                # relative: the pdf's (as above), the survival's and the division's
+                rel = (self._logpdf_tol(d, x) + 4e-16
+                       + (self._tail_ulps(d, x, d.survival(x)) + 1.0) * np.finfo(float).eps)
+                want = d.hazard(x)
+                assert abs(got - want) <= rel * want, (d, x)
+
+    def test_quantile(self, dists):
+        for d in dists:
+            ps = np.array([p for p in d.cdf(np.array(Z_GRID) / d.lam) if 0.0 < p < 1.0])
+            assert d.quantile(ps).tolist() == [d.quantile(p) for p in ps.tolist()], d
+
+    def test_shapes(self):
+        d = BGE(0.02, 0.02, 1.0, 0.5)
+        got = d.pdf(np.array([1.0, 2.0]))     # not numpy's "truth value ... is ambiguous"
+        assert got.shape == (2,) and np.all(got > 0.0)
+        x = np.array([[0.5, 1.0], [2.0, 4.0]])
+        for name in ("logpdf", "pdf", "cdf", "survival", "hazard"):
+            fn = getattr(d, name)
+            assert fn(x).shape == (2, 2), name
+            assert isinstance(fn(np.float32(1.0)), float), name
+        assert d.quantile(np.array([[0.1], [0.9]])).shape == (2, 1)
+        assert isinstance(d.quantile(np.array(0.5)), float)
 
 
 #: Log-uniform over the documented box [e^-4.5, e^4.5]^4.

@@ -17,11 +17,26 @@ def _run(code: str) -> str:
 
 
 def test_import_loads_no_scipy_submodules():
-    # statistics and argparse load only with the intervals and the CLI
+    # statistics and argparse load only with the intervals and the CLI;
+    # inference, series and order_stats on first use of one of their names
     out = _run("import sys, bgedist; "
-               "print(' '.join(m for m in ('scipy', 'numpy.random', 'statistics', 'argparse') "
+               "print(' '.join(m for m in ('scipy', 'numpy.random', 'statistics', 'argparse', "
+               "'bgedist.inference', 'bgedist.series', 'bgedist.order_stats') "
                "if m in sys.modules))")
     assert out.strip() == ""
+
+
+def test_exported_names_resolve_to_their_modules():
+    import bgedist
+    from bgedist import datasets, distribution, inference, order_stats, series
+
+    modules = (datasets, distribution, inference, order_stats, series)
+    for name in bgedist.__all__:
+        assert any(getattr(m, name, None) is getattr(bgedist, name) for m in modules), name
+    assert bgedist.series is series
+    out = _run("from bgedist import *; import bgedist; "
+               "print(all(n in globals() for n in bgedist.__all__), fit_mle.__module__)")
+    assert out.split() == ["True", "bgedist.inference"]
 
 
 def test_fit_with_covariance_loads_no_scipy_integrate():
@@ -82,11 +97,13 @@ def test_fit_commands_and_lr_tests_load_no_scipy():
 
 def test_curve_and_quantile_load_scipy_special_only():
     # the incomplete beta ratio and its inverses are scipy.special's,
-    # imported on first call rather than with the package
+    # imported on first call rather than with the package; curve loads
+    # neither the fits nor the series
     for call in ("bgedist.cli.main(['curve', '--params', '2,3,1,1.5', "
                  "'--grid', '0.001:8:2000'], out=io.StringIO())",
                  "BGE(2, 0.05, 1, 1).quantile(0.99)"):
         out = _run("import io, sys; import bgedist.cli; from bgedist import BGE; "
                    f"{call}; print(' '.join(m for m in "
-                   "('scipy.special', 'scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+                   "('scipy.special', 'scipy.integrate', 'scipy.optimize', 'bgedist.inference', "
+                   "'bgedist.series', 'bgedist.order_stats') if m in sys.modules))")
         assert out.split() == ["scipy.special"], call
