@@ -6,15 +6,20 @@ The family composes the exponentiated-exponential cdf
     F(x) = I_{G(x)}(a, b),
 
 where ``I`` is the regularized incomplete beta ratio, taken from
-whichever of G and 1 - G is at most 1/2 (``_beta_tail``).  Instances
-are immutable value objects and safe to share between threads; sampling
+whichever of G and 1 - G is at most 1/2 (``_beta_tail``).  Its
+complement is 1 - I where I <= 1/2, the mirror ratio at 1 - G or G
+where that is at least 1/4, and ``betaincc``, 2-12 times the cost of
+``betainc``, only for the rest (``_beta_complement``).  Instances are
+immutable value objects and safe to share between threads; sampling
 mutates only the caller-supplied generator.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,52 +94,106 @@ def _log_density(params, log_norm, x):
 #: underflowed: its series is then exact to double precision in the
 #: leading term.
 _LOG_TINY = -690.0
+#: log of the smallest normal double.
+_LOG_DBL_MIN = math.log(sys.float_info.min)
 
 
-def _beta_tail(a: float, b: float, log_g: float, upper: bool = False) -> float:
+class _Lazy:
+    """A module imported on first attribute access, which then replaces
+    this placeholder as the global ``name``: later calls pay one global
+    lookup instead of an ``import`` statement, and importing the package
+    loads no scipy."""
+
+    def __init__(self, name: str, module: str):
+        self._name, self._module = name, module
+
+    def __getattr__(self, attr):
+        module = importlib.import_module(self._module)
+        globals()[self._name] = module
+        return getattr(module, attr)
+
+
+#: The scalar kernels return the ufuncs' bits about 1 us sooner a call.
+_sc = _Lazy("_sc", "scipy.special.cython_special")
+_ufuncs = _Lazy("_ufuncs", "scipy.special")
+
+
+def _beta_complement(p, q, x, s):
+    """1 - I_x(p, q) from s = I_x(p, q) at x <= 1/2 (floats, or arrays of
+    one shape): 1 - s where s <= 1/2, I_(1-x)(q, p) where x >= 1/4, and
+    ``betaincc(p, q, x)`` only for the rest.
+
+    ``betaincc`` costs 2-12 ``betainc`` calls (10 as a ufunc), and the
+    first two branches are as accurate.  Where s <= 1/2, 1 - s is
+    rounded by at most half its ulp, and s's error is no larger
+    relative to 1 - s >= s than to s.  Where x is in [1/4, 1/2],
+    1 - x is off by at most 2^-54, one ulp of x, as if x had been
+    rounded once more.  DiDonato & Morris's Algorithm 708 (ACM TOMS
+    18(3), 1992) splits the work the same way: it returns I and 1 - I
+    as a pair and subtracts only for the larger one.
+    """
+    if isinstance(s, float):
+        if s <= 0.5:
+            return 1.0 - s
+        return _sc.betainc(q, p, 1.0 - x) if x >= 0.25 else _sc.betaincc(p, q, x)
+    out = 1.0 - s
+    big = s > 0.5
+    mirror, rest = big & (x >= 0.25), big & (x < 0.25)
+    out[mirror] = _ufuncs.betainc(q[mirror], p[mirror], 1.0 - x[mirror])
+    out[rest] = _ufuncs.betaincc(p[rest], q[rest], x[rest])
+    return out
+
+
+def _beta_tail(a: float, b: float, log_beta_ab: float, log_g: float,
+               upper: bool = False) -> float:
     """I_G(a, b) at G = e^log_g <= 1, or 1 - I_G(a, b) when ``upper``.
 
-    The side rule: ``betainc`` (or ``betaincc`` for the complement) is
-    taken at (a, b, G) when G <= 1/2 and at (b, a, 1 - G) otherwise, with
-    1 - G = -expm1(log_g), so that neither tail rounds to 0 or 1.  Where
-    that small argument x is below e^``_LOG_TINY``, its ratio is the
-    leading term x^p / (p B(a, b)) of its series, p being x's shape.
+    The side rule: s = ``betainc`` is taken at (a, b, G) when G <= 1/2
+    and at (b, a, 1 - G) otherwise, with 1 - G = -expm1(log_g), so that
+    neither tail rounds to 0 or 1.  The other side is
+    ``_beta_complement`` of s: 1 - s where s <= 1/2, ``betainc`` at the
+    mirror argument where the small one is at least 1/4, both as
+    accurate as s, and the costlier ``betaincc`` only for the rest.  Where the
+    small argument x is below e^``_LOG_TINY``, s is the leading term
+    x^p / (p B(a, b)) of its series, p being x's shape, and its
+    complement 1 - s.
     """
-    import scipy.special.cython_special as sc  # the ufuncs' bits, ~1 us less a call
-
     g = math.exp(log_g)
     if g > 0.5:
         a, b, g, upper = b, a, -math.expm1(log_g), not upper
         log_g = math.log(g) if g > 0.0 else -math.inf
     if log_g < _LOG_TINY:
-        s = math.exp(a * log_g - math.log(a) - specfun.log_beta(a, b))
+        s = math.exp(a * log_g - math.log(a) - log_beta_ab)
         return 1.0 - s if upper else s
-    return (sc.betaincc if upper else sc.betainc)(a, b, g)
+    s = _sc.betainc(a, b, g)
+    return _beta_complement(a, b, g, s) if upper else s
 
 
-def _beta_tail_array(a: float, b: float, log_g, upper: bool) -> np.ndarray:
-    """``_beta_tail`` over an array of log G, step for step in numpy.
+def _beta_tail_array(a: float, b: float, log_beta_ab: float, log_g, upper: bool) -> np.ndarray:
+    """``_beta_tail`` over an array of log G, step for step in numpy:
+    ``betainc`` on every element, and ``_beta_complement`` on those
+    whose complement is asked for, so ``betaincc`` runs only where s > 1/2
+    at a small argument below 1/4.
 
     ``_log_beta_cdf_pair`` takes the same side rule in log space, where
     the leading term may lie below the double range."""
-    from scipy.special import betainc, betaincc
-
     with np.errstate(divide="ignore", invalid="ignore"):
         g = np.exp(log_g)
         swap = g > 0.5
         x = np.where(swap, -np.expm1(log_g), g)
         log_x = np.where(swap, np.log(x), log_g)
         p, q = np.where(swap, b, a), np.where(swap, a, b)
+        tiny = log_x < _LOG_TINY
+        s = np.where(tiny, np.exp(p * log_x - np.log(p) - log_beta_ab), _ufuncs.betainc(p, q, x))
         comp = swap != upper
-        s = np.exp(p * log_x - np.log(p) - specfun.log_beta(a, b))
         out = np.where(comp, 1.0 - s, s)
-        rest = ~(log_x < _LOG_TINY)
-        betainc(p, q, x, out=out, where=rest & ~comp)
-        betaincc(p, q, x, out=out, where=rest & comp)
+        comp = comp & ~tiny
+        out[comp] = _beta_complement(p[comp], q[comp], x[comp], s[comp])
     return out
 
 
-def _refine_beta_cdf_root(a: float, b: float, log_g: float, t: float) -> float:
+def _refine_beta_cdf_root(a: float, b: float, log_beta_ab: float, log_g: float,
+                          t: float) -> float:
     """log G with I_G(a, b) = t: Newton steps in log G on log I_G from
     ``betaincinv``'s root, until they agree to 1e-12 relative.
 
@@ -146,15 +205,15 @@ def _refine_beta_cdf_root(a: float, b: float, log_g: float, t: float) -> float:
     """
     log_t = math.log(t)
     for _ in range(4):  # at most three evaluations over 119,000 roots
-        f = _beta_tail(a, b, log_g)
+        f = _beta_tail(a, b, log_beta_ab, log_g)
         if f == 0.0:
-            log_g = (log_t + math.log(a) + specfun.log_beta(a, b)) / a
+            log_g = (log_t + math.log(a) + log_beta_ab) / a
             continue
         resid = math.log(f) - log_t
         if not abs(resid) > 1e-12:
             break
         # d log I_G / d log G = G^a (1 - G)^(b-1) / (B(a, b) I_G)
-        slope = math.exp(a * log_g + (b - 1.0) * log1mexp(-log_g) - specfun.log_beta(a, b)) / f
+        slope = math.exp(a * log_g + (b - 1.0) * log1mexp(-log_g) - log_beta_ab) / f
         if not slope > 0.0:
             break
         log_g -= resid / slope
@@ -166,11 +225,11 @@ def _log_beta_cdf_pair(a: float, b: float, log_beta_ab: float, logv, log1mv):
     log(1 - v), by the side rule of ``_beta_tail`` in log space.
 
     The side s of the small argument x is ``betainc``; the other side is
-    log1p(-s), exact to rounding while s <= 1/2, and ``betaincc`` above.
-    Where x underflows, s is the leading term x^p / (p B(a, b)) of its
-    series: ``betainc`` and ``betaincc`` would give 0 and 1 there."""
-    from scipy.special import betainc, betaincc
-
+    log1p(-s), exact to rounding while s <= 1/2, and above that the log
+    of ``_beta_complement``: ``betainc`` at 1 - x where x >= 1/4, and
+    the costlier ``betaincc`` only below.  Where x underflows, s is the
+    leading term x^p / (p B(a, b)) of its series: ``betainc`` and
+    ``betaincc`` would give 0 and 1 there."""
     low = logv <= log1mv                     # v <= 1/2
     logx = np.where(low, logv, log1mv)
     p, q = np.where(low, a, b), np.where(low, b, a)
@@ -178,11 +237,11 @@ def _log_beta_cdf_pair(a: float, b: float, log_beta_ab: float, logv, log1mv):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lead = p * logx - np.log(p) - log_beta_ab
         x = np.exp(logx)
-        s = np.where(tiny, np.exp(lead), betainc(p, q, x))
+        s = np.where(tiny, np.exp(lead), _ufuncs.betainc(p, q, x))
         small = np.where(tiny, lead, np.log(s))
         large = np.log1p(-s)
-        big = s > 0.5
-        large[big] = np.log(betaincc(p[big], q[big], x[big]))
+        big = (s > 0.5) & ~tiny
+        large[big] = np.log(_beta_complement(p[big], q[big], x[big], s[big]))
     return np.where(low, small, large), np.where(low, large, small)
 
 
@@ -367,9 +426,20 @@ class BGE:
     def is_exponential(self) -> bool:
         return self.is_ge and self.is_be
 
-    @property
+    # log B(a, b) and the log-density constant are kept in the instance
+    # dict on first use: not fields, so out of equality, hash and repr,
+    # and left out of the pickled state.
+
+    @functools.cached_property
     def log_beta_ab(self) -> float:
         return specfun.log_beta(self.a, self.b)
+
+    @functools.cached_property
+    def _log_norm_const(self) -> float:
+        return _log_norm(self.a, self.b, self.lam, self.alpha)
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in PARAM_NAMES}
 
     # -- public surface --------------------------------------------------------
 
@@ -380,8 +450,7 @@ class BGE:
             x = np.asarray(x, dtype=float)
         if x <= 0.0 if scalar else np.any(x <= 0.0):
             raise ValueError("logpdf requires x > 0")
-        params = (self.a, self.b, self.lam, self.alpha)
-        out = _log_density(params, _log_norm(*params), x)[0]
+        out = _log_density((self.a, self.b, self.lam, self.alpha), self._log_norm_const, x)[0]
         return out if scalar else _as_float_if_0d(out)
 
     def pdf(self, x):
@@ -400,9 +469,8 @@ class BGE:
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0):
             raise ValueError(f"pdf requires x >= 0, got {x[x < 0.0][0]}")
-        params = self.params_tuple()
         with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.exp(_log_density(params, _log_norm(*params), x)[0])
+            f = np.exp(_log_density(self.params_tuple(), self._log_norm_const, x)[0])
         return _as_float_if_0d(np.where(x == 0.0, self._pdf_at_origin(), f))
 
     def _pdf_at_origin(self) -> float:
@@ -419,9 +487,10 @@ class BGE:
         if isinstance(x, _SCALAR):
             if x <= 0.0:
                 return 0.0
-            return _beta_tail(self.a, self.b, self.alpha * log1mexp(self.lam * x))
+            return _beta_tail(self.a, self.b, self.log_beta_ab, self.alpha * log1mexp(self.lam * x))
         x = np.asarray(x, dtype=float)
-        f = _beta_tail_array(self.a, self.b, self.alpha * log1mexp(self.lam * x), False)
+        f = _beta_tail_array(self.a, self.b, self.log_beta_ab,
+                             self.alpha * log1mexp(self.lam * x), False)
         return _as_float_if_0d(np.where(x <= 0.0, 0.0, f))
 
     def survival(self, x):
@@ -431,9 +500,11 @@ class BGE:
         if isinstance(x, _SCALAR):
             if x <= 0.0:
                 return 1.0
-            return _beta_tail(self.a, self.b, self.alpha * log1mexp(self.lam * x), upper=True)
+            return _beta_tail(self.a, self.b, self.log_beta_ab,
+                              self.alpha * log1mexp(self.lam * x), upper=True)
         x = np.asarray(x, dtype=float)
-        s = _beta_tail_array(self.a, self.b, self.alpha * log1mexp(self.lam * x), True)
+        s = _beta_tail_array(self.a, self.b, self.log_beta_ab,
+                             self.alpha * log1mexp(self.lam * x), True)
         return _as_float_if_0d(np.where(x <= 0.0, 1.0, s))
 
     def hazard(self, x):
@@ -443,13 +514,20 @@ class BGE:
         survival underflows to 0; an array raises at its first such
         element.
         """
-        scalar = isinstance(x, _SCALAR)
-        if not scalar:
-            x = np.asarray(x, dtype=float)
+        if isinstance(x, _SCALAR):
+            if x <= 0.0:
+                raise ValueError(f"hazard requires x > 0, got {x}")
+            s = self.survival(x)
+            if s == 0.0:
+                raise OverflowError(f"survival underflowed to 0 at x={x}; "
+                                    "hazard is not representable")
+            params = (self.a, self.b, self.lam, self.alpha)
+            return math.exp(_log_density(params, self._log_norm_const, x)[0]) / s
+        x = np.asarray(x, dtype=float)
         s = self.survival(x)
         bad = (x <= 0.0) | (s == 0.0)
-        if bad if scalar else np.any(bad):
-            first = x if scalar else float(x[bad][0])
+        if np.any(bad):
+            first = float(x[bad][0])
             if first <= 0.0:
                 raise ValueError(f"hazard requires x > 0, got {first}")
             raise OverflowError(f"survival underflowed to 0 at x={first}; "
@@ -464,9 +542,13 @@ class BGE:
         and 1 - p is at most 1/2; where V > 1/2, 1 - V is inverted instead
         on the Beta(b, a) side, so that log V = log1p(-(1 - V)) keeps the
         digits that x depends on.  scipy's inverse is then refined by
-        Newton steps on the log tail.  An array is inverted element by
-        element; one outside (0, 1) raises ``ValueError`` naming the
-        first.
+        Newton steps on the log tail.  Where 1 - V = y or
+        z = -log V / alpha is below the normal range, x is formed from
+        log y alone: -log V = y (1 + y/2 + ...) gives log z =
+        log y - log alpha, and 1 - V^(1/alpha) = 1 - e^-z gives
+        x = -(log z - z/2) / lam, so that x stays finite and accurate where
+        V rounds to 1.  An array is inverted element by element; one
+        outside (0, 1) raises ``ValueError`` naming the first.
         """
         if not isinstance(p, _SCALAR):
             p = np.asarray(p, dtype=float)
@@ -474,17 +556,19 @@ class BGE:
                                    .reshape(p.shape))
         if not (0.0 < p < 1.0):
             raise ValueError(f"quantile requires 0 < p < 1, got {p}")
-        import scipy.special.cython_special as sc
-
         a, b = self.a, self.b
         t, upper = (p, False) if p <= 0.5 else (1.0 - p, True)
-        swap = p > sc.betainc(a, b, 0.5)
+        swap = p > _sc.betainc(a, b, 0.5)
         if swap:  # V > 1/2: invert for 1 - V on the Beta(b, a) side
             a, b, upper = b, a, not upper
-        y = (sc.betainccinv if upper else sc.betaincinv)(a, b, t)
+        y = (_sc.betainccinv if upper else _sc.betaincinv)(a, b, t)
         log_y = math.log(y) if y > 0.0 else -math.inf
         if not upper:
-            log_y = _refine_beta_cdf_root(a, b, log_y, t)
+            log_y = _refine_beta_cdf_root(a, b, self.log_beta_ab, log_y, t)
+        if swap:
+            log_z = log_y - math.log(self.alpha)
+            if min(log_y, log_z) < _LOG_DBL_MIN:
+                return -(log_z - 0.5 * math.exp(log_z)) / self.lam
         logv = math.log1p(-math.exp(log_y)) if swap else log_y
         return -log1mexp(-logv / self.alpha) / self.lam
 

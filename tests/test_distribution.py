@@ -1,6 +1,8 @@
 """Distribution object: densities, tails, quantiles, sampling."""
 
+import copy
 import math
+import pickle
 import sys
 
 import mpmath as mp
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from bgedist import BGE, Sample
+from bgedist import BGE, Sample, distribution
 from bgedist.distribution import _log_density, log1mexp
 
 mp.mp.dps = 40
@@ -49,6 +51,18 @@ class TestValidation:
         assert BGE.be(2, 3, 1).is_be
         assert BGE.dge(2, 1, 3).is_dge
         assert BGE.exponential(1.0).is_exponential
+
+    def test_cached_constants_stay_out_of_value_semantics(self):
+        d = BGE(2.0, 0.35, 1.0, 1.5)
+        before = (repr(d), str(d), hash(d), pickle.dumps(d))
+        d.pdf(1.0), d.cdf(1.0), d.hazard(1.0)
+        assert {"log_beta_ab", "_log_norm_const"} <= set(vars(d))
+        assert (repr(d), str(d), hash(d), pickle.dumps(d)) == before
+        fresh = BGE(2.0, 0.35, 1.0, 1.5)
+        assert d == fresh and fresh == d and hash(fresh) == hash(d)
+        for clone in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+            assert clone == d and set(vars(clone)) == {"a", "b", "lam", "alpha"}
+            assert clone.hazard(1.0) == d.hazard(1.0)
 
 
 class TestPdf:
@@ -137,6 +151,76 @@ class TestCdfSurvival:
             want_sf = float(mp.betainc(a, b, g, 1, regularized=True))
         assert d.cdf(x) == pytest.approx(want_cdf, rel=1e-13, abs=0.0)
         assert d.survival(x) == pytest.approx(want_sf, rel=1e-13, abs=0.0)
+
+    #: (params, x, branch of the complement side): 1 - s where s <= 1/2,
+    #: the mirror I_(1-x)(q, p) where the small argument x is >= 1/4, and
+    #: betaincc for the rest, with a = e^-4.5 and b = e^-4.5 corners.  The
+    #: complement is the survival where G <= 1/2 and the cdf where G > 1/2.
+    BRANCH_POINTS = [
+        ((2.0, 3.0, 1.0, 1.5), 0.5, "one_minus_s"),
+        ((2.0, 3.0, 1.0, 1.5), 3.0, "one_minus_s"),
+        ((0.011108996538242306, 0.011108996538242306, 1.0, 1.0), 3.0, "one_minus_s"),
+        ((0.5, 5.0, 1.0, 1.0), 0.35, "mirror"),
+        ((5.0, 0.5, 1.0, 1.0), 1.1, "mirror"),
+        ((0.3, 7.0, 2.0, 0.7), 0.2, "mirror"),
+        ((0.011108996538242306, 2.0, 1.0, 1.0), 0.1, "betaincc"),
+        ((2.0, 0.011108996538242306, 1.0, 1.0), 2.0, "betaincc"),
+        ((0.3, 7.0, 2.0, 0.7), 0.05, "betaincc"),
+    ]
+
+    @pytest.mark.parametrize("params, x, branch", BRANCH_POINTS)
+    def test_complement_branches_against_mpmath(self, params, x, branch):
+        d = BGE(*params)
+        a, b, lam, alpha = map(mp.mpf, params)
+        g = (-mp.expm1(-lam * mp.mpf(x))) ** alpha
+        want_cdf = float(mp.betainc(a, b, 0, g, regularized=True))
+        want_sf = float(mp.betainc(a, b, g, 1, regularized=True))
+        for got_cdf, got_sf in ((d.cdf(x), d.survival(x)),
+                                (d.cdf(np.array([x]))[0], d.survival(np.array([x]))[0])):
+            assert got_cdf == pytest.approx(want_cdf, rel=1e-13, abs=0.0), branch
+            assert got_sf == pytest.approx(want_sf, rel=1e-13, abs=0.0), branch
+
+    class _Counting:
+        """Forwards to a module of kernels, recording the arguments of
+        each ``betaincc`` call."""
+
+        def __init__(self, module):
+            self._module, self.calls = module, []
+
+        def betaincc(self, *args):
+            self.calls.append(args)
+            return self._module.betaincc(*args)
+
+        def __getattr__(self, name):
+            return getattr(self._module, name)
+
+    def test_betaincc_only_on_the_third_branch(self, monkeypatch):
+        import scipy.special
+        import scipy.special.cython_special
+
+        kernels = self._Counting(scipy.special.cython_special)
+        ufuncs = self._Counting(scipy.special)
+        monkeypatch.setattr(distribution, "_sc", kernels)
+        monkeypatch.setattr(distribution, "_ufuncs", ufuncs)
+        for params, x, branch in self.BRANCH_POINTS:
+            d = BGE(*params)
+            d.cdf(x), d.survival(x)
+            assert len(kernels.calls) == (branch == "betaincc"), (params, x)
+            kernels.calls.clear()
+        rng = np.random.default_rng(3)
+        for params in np.exp(rng.uniform(-4.5, 4.5, size=(40, 4))):
+            d = BGE(*params)
+            xs = np.exp(np.linspace(-12.0, 4.0, 60)) / d.lam
+            for fn in (d.cdf, d.survival):
+                fn(xs)
+                for x in xs.tolist():
+                    fn(x)
+                elements = [args for call in ufuncs.calls for args in zip(*call)]
+                assert len(elements) == len(kernels.calls), (d, fn)
+                for p, q, small in elements:
+                    assert small < 0.25 and scipy.special.betainc(p, q, small) > 0.5, (d, fn)
+                kernels.calls.clear()
+                ufuncs.calls.clear()
 
     def test_complementarity(self, rng):
         for _ in range(200):
@@ -288,6 +372,18 @@ class TestQuantile:
     ])
     def test_small_b_against_mpmath(self, params, p, want):
         assert BGE(*params).quantile(p) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("params, p, want", [
+        # roots in x by mpmath at 50 digits of the survival
+        # I_(1-G)(b, a) = 1 - p.  1 - V is about e^-806 and e^-1076 at
+        # the first point, where V rounds to 1; at the second 1 - G is
+        # subnormal
+        ((0.2459, 0.02559, 32.49, 38.19), 1 - 1e-9, 24.928657059450582789),
+        ((0.2459, 0.02559, 32.49, 38.19), 1 - 1e-12, 33.237075007348357435),
+        ((15.98, 0.01554, 0.0195, 0.0505), 0.99999, 38009.049594265435029),
+    ])
+    def test_upper_tail_past_the_double_range(self, params, p, want):
+        assert BGE(*params).quantile(p) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_domain(self):
         d = BGE(1, 1, 1, 1)

@@ -107,3 +107,14 @@ def test_curve_and_quantile_load_scipy_special_only():
                    "('scipy.special', 'scipy.integrate', 'scipy.optimize', 'bgedist.inference', "
                    "'bgedist.series', 'bgedist.order_stats') if m in sys.modules))")
         assert out.split() == ["scipy.special"], call
+
+
+def test_float_cdf_and_quantile_load_scipy_special_only():
+    # the scalar kernels are bound on first use; what they load beyond
+    # scipy.special's own submodules is what importing scipy.special loads
+    listing = "print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    base = set(_run(f"import sys, scipy.special; {listing}").split())
+    out = _run("import sys; from bgedist import BGE; d = BGE(2, 0.05, 1, 1); "
+               f"d.cdf(0.7); d.quantile(0.99); {listing}").split()
+    assert "scipy.special.cython_special" in out
+    assert {m for m in out if not m.startswith("scipy.special")} <= base
