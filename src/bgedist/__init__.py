@@ -32,8 +32,8 @@ _LAZY = {
                   "log_likelihood", "lr_test", "score", "t_expectation"),
     "order_stats": ("MixtureTermBudget", "OrderStatIndex", "order_stat_mgf",
                     "order_stat_moment", "order_stat_pdf_direct", "order_stat_pdf_mixture"),
-    "series": ("MomentSet", "SeriesControl", "cdf_series", "closed_form_cdf_integer",
-               "mgf", "moment_set", "pdf_mixture", "raw_moment", "shannon_entropy",
+    "series": ("MomentSet", "cdf_series", "closed_form_cdf_integer", "mgf",
+               "moment_set", "pdf_mixture", "raw_moment", "shannon_entropy",
                "skewness_kurtosis"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}

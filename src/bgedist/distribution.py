@@ -547,8 +547,10 @@ class BGE:
         log y alone: -log V = y (1 + y/2 + ...) gives log z =
         log y - log alpha, and 1 - V^(1/alpha) = 1 - e^-z gives
         x = -(log z - z/2) / lam, so that x stays finite and accurate where
-        V rounds to 1.  An array is inverted element by element; one
-        outside (0, 1) raises ``ValueError`` naming the first.
+        V rounds to 1.  Where x is below the smallest positive double
+        (F(5e-324) > p), the result is +0.0, the correctly rounded value.
+        An array is inverted element by element; one outside (0, 1)
+        raises ``ValueError`` naming the first.
         """
         if not isinstance(p, _SCALAR):
             p = np.asarray(p, dtype=float)

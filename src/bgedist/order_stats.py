@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import specfun
 from .distribution import (_TS_FAIL_RTOL, BGE, _log_beta_cdf_pair, _log_latent_transform,
                            _tanh_sinh_log_integral)
-from .series import SeriesControl, DEFAULT_CONTROL, mgf, raw_moment
+from .series import mgf, raw_moment
 
 __all__ = [
     "OrderStatIndex",
@@ -61,26 +61,32 @@ class OrderStatIndex:
 
 @dataclass(frozen=True)
 class MixtureTermBudget:
-    """Truncation caps for the real-b multi-index mixture sums.
-
-    ``shell_tol`` stops the total-degree enumeration once two
-    consecutive degree shells contribute less than it; unlike the
-    series term tolerance it must not be too small, because the
-    coefficient shells decay only polynomially in the degree.
-    """
+    """Truncation caps for the real-b multi-index mixture sums."""
 
     per_index_cap: int = 25
     total_term_cap: int = 200_000
-    shell_tol: float = 1e-9
 
     def __post_init__(self):
         if self.per_index_cap < 1 or self.total_term_cap < 1:
             raise ValueError("mixture budget caps must be >= 1")
-        if not (self.shell_tol > 0.0):
-            raise ValueError("shell_tol must be positive")
 
 
 DEFAULT_BUDGET = MixtureTermBudget()
+
+#: The real-b enumeration stops once two consecutive total-degree shells
+#: contribute less than this.  Unlike the series term tolerance it must
+#: not be too small, because the coefficient shells decay only
+#: polynomially in the degree.
+_SHELL_TOL = 1e-9
+
+
+def _integer_b(b: float) -> int | None:
+    """b rounded to an integer if within 1e-9 of a positive one, else
+    None; such b takes the finite integer-b mixture sums."""
+    r = round(b)
+    if r >= 1 and abs(b - r) <= 1e-9:
+        return int(r)
+    return None
 
 
 def order_stat_pdf_direct(dist: BGE, idx: OrderStatIndex, x: float) -> float:
@@ -106,7 +112,9 @@ def order_stat_pdf_direct(dist: BGE, idx: OrderStatIndex, x: float) -> float:
 
 def _component_shape(a: float, alpha: float, i: int, k: int, msum: int) -> float:
     """First shape a*(k+i) + sum(m) of a mixture component; the printed
-    alpha*(a*(i+1) + sum(m)) fails the i = n = 1 reduction."""
+    alpha*(a*(i+1) + sum(m)) fails the i = n = 1 reduction.  alpha is
+    unused here: it is in the signature so that the reconciliation tests
+    can swap the printed reading in (see errata.json)."""
     return a * (k + i) + msum
 
 
@@ -181,7 +189,7 @@ def _mixture_sum_real(dist: BGE, idx: OrderStatIndex, budget: MixtureTermBudget,
             if length == 0:
                 done = True
                 break
-            if abs(shell) < budget.shell_tol:
+            if abs(shell) < _SHELL_TOL:
                 small_shells += 1
                 if small_shells >= 2:
                     done = True
@@ -198,28 +206,26 @@ def _mixture_sum_real(dist: BGE, idx: OrderStatIndex, budget: MixtureTermBudget,
 
 
 def _mixture_value(dist: BGE, idx: OrderStatIndex, evaluate,
-                   budget: MixtureTermBudget, ctl: SeriesControl) -> float:
-    b_int = ctl.integer_b(dist.b)
+                   budget: MixtureTermBudget) -> float:
+    b_int = _integer_b(dist.b)
     if b_int is not None:
         return math.fsum(_mixture_terms_integer(dist, idx, b_int, evaluate))
     return _mixture_sum_real(dist, idx, budget, evaluate)
 
 
 def order_stat_pdf_mixture(dist: BGE, idx: OrderStatIndex, x: float,
-                           budget: MixtureTermBudget = DEFAULT_BUDGET,
-                           ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+                           budget: MixtureTermBudget = DEFAULT_BUDGET) -> float:
     """Order-statistic density by the delta-weighted component expansion,
     with the shifted component shapes validated against the direct
     formula."""
     if x <= 0.0:
         raise ValueError(f"order_stat_pdf_mixture requires x > 0, got {x}")
-    return _mixture_value(dist, idx, lambda comp: comp.pdf(x), budget, ctl)
+    return _mixture_value(dist, idx, lambda comp: comp.pdf(x), budget)
 
 
 def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int,
                       method: str = "quadrature",
-                      budget: MixtureTermBudget = DEFAULT_BUDGET,
-                      ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+                      budget: MixtureTermBudget = DEFAULT_BUDGET) -> float:
     """E[X_{i:n}^r] for r in 1..4.
 
     "quadrature" (default) takes the moment as an expectation over the
@@ -237,8 +243,7 @@ def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int,
     if r not in (1, 2, 3, 4):
         raise ValueError(f"order_stat_moment supports r in 1..4, got {r}")
     if method == "mixture":
-        return _mixture_value(dist, idx, lambda comp: raw_moment(comp, r, ctl),
-                              budget, ctl)
+        return _mixture_value(dist, idx, lambda comp: raw_moment(comp, r), budget)
     if method != "quadrature":
         raise ValueError(f"method must be 'quadrature' or 'mixture', got {method!r}")
     a, b, alpha = dist.a, dist.b, dist.alpha
@@ -267,9 +272,8 @@ def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int,
 
 
 def order_stat_mgf(dist: BGE, idx: OrderStatIndex, t: float,
-                   budget: MixtureTermBudget = DEFAULT_BUDGET,
-                   ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+                   budget: MixtureTermBudget = DEFAULT_BUDGET) -> float:
     """Mgf of X_{i:n} at t < lam as a delta-weighted sum of component mgfs."""
     if not (t < dist.lam):
         raise ValueError(f"order_stat_mgf requires t < lam = {dist.lam}, got t = {t}")
-    return _mixture_value(dist, idx, lambda comp: mgf(comp, t, ctl), budget, ctl)
+    return _mixture_value(dist, idx, lambda comp: mgf(comp, t), budget)

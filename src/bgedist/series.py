@@ -1,15 +1,15 @@
 """Series expansions: cdf and density mixtures, mgf, moments, entropy.
 
-Every series here comes in two flavours, dispatched on whether the
-shape parameter ``b`` is (numerically) a positive integer: the integer
-branch is a finite binomial sum, the real branch an infinite series
-whose coefficients involve the gamma function at descending, eventually
-negative, arguments.  Both take the signed coefficients
-(-1)^j Gamma(b) / (Gamma(b-j) j!) from their ratio recurrence, which
-carries less rounding into the alternating sums than differences of
-``lgamma`` values do.  Terms are evaluated in numpy blocks of the
-summation index; ``scipy.special`` is imported by the functions that use
-it, so importing the package does not load it.
+The paper writes each series twice, as a finite binomial sum for
+integer ``b`` and an infinite series for real ``b``; here one engine sums
+both.  It takes the signed coefficients (-1)^j Gamma(b) / (Gamma(b-j) j!)
+from their ratio recurrence c_j = c_{j-1} (j - b) / j, which carries
+less rounding into the alternating sums than differences of ``lgamma``
+values do, and which at integer b gives (-1)^j C(b-1, j), exactly 0
+from j = b on.  Terms are evaluated in numpy blocks of the summation
+index, and a sum stops on the fixed truncation constants ``_TERM_TOL``
+and ``_MAX_TERMS``; ``scipy.special`` is imported by the functions that
+use it, so importing the package does not load it.
 
 ``raw_moment`` is the paper's moment series.  ``moment_set`` (and so
 ``skewness_kurtosis``) and ``shannon_entropy`` instead take E[X^r] as an
@@ -33,11 +33,9 @@ from .distribution import (_TS_FAIL_RTOL, BGE, _log_latent_transform, _tanh_sinh
                            log1mexp)
 
 __all__ = [
-    "SeriesControl",
     "SeriesEval",
     "SeriesConvergenceError",
     "MomentSet",
-    "DEFAULT_CONTROL",
     "cdf_series",
     "closed_form_cdf_integer",
     "pdf_mixture",
@@ -60,48 +58,19 @@ class SeriesConvergenceError(RuntimeError):
         self.terms = terms
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the infinite expansions.
-
-    ``term_tol`` is an absolute tolerance on individual terms; a series
-    stops once three consecutive terms fall below it (the coefficients
-    are non-monotone while the summation index is below b, so a single
-    small term is not evidence of convergence).  ``integer_b_eps``
-    decides when b is treated as an exact integer and the finite
-    binomial branch is taken.
-    """
-
-    max_terms: int = 100_000
-    term_tol: float = 1e-12
-    integer_b_eps: float = 1e-9
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if not (self.term_tol > 0.0):
-            raise ValueError("term_tol must be positive")
-        if not (self.integer_b_eps > 0.0):
-            raise ValueError("integer_b_eps must be positive")
-
-    def integer_b(self, b: float) -> int | None:
-        """Round b to an integer if within tolerance, else None."""
-        r = round(b)
-        if r >= 1 and abs(b - r) <= self.integer_b_eps:
-            return int(r)
-        return None
-
-
-DEFAULT_CONTROL = SeriesControl()
-
-
 class SeriesEval(NamedTuple):
     value: float
     error_bound: float
     terms: int
 
 
-#: Real-b terms are computed in blocks of j that double in size from
+#: A series stops once three consecutive terms fall below _TERM_TOL in
+#: absolute value (the coefficients are non-monotone while j is below b,
+#: so one small term is not evidence of convergence), and raises
+#: ``SeriesConvergenceError`` if it has not stopped within _MAX_TERMS.
+_TERM_TOL = 1e-12
+_MAX_TERMS = 100_000
+#: Terms are computed in blocks of j that double in size from
 #: _BLOCK_MIN up to _BLOCK_MAX, so a fast series pays for a small block.
 _BLOCK_MIN = 64
 _BLOCK_MAX = 4096
@@ -140,31 +109,34 @@ def _scaled_terms(coef: np.ndarray, log_scale: float, lp: np.ndarray) -> np.ndar
         return np.ldexp(coef * np.exp((log_scale - e2 * _LN2) + lp), e2)
 
 
-def _sum_real_b(b: float,
+def _sum_series(b: float,
                 log_payload: Callable[[np.ndarray], np.ndarray],
-                ctl: SeriesControl,
-                log_prefactor: float,
+                log_scale: float,
                 what: str) -> SeriesEval:
-    """Sum_{j>=0} (-1)^j payload(j) / (Gamma(b-j) j!) times a prefactor.
+    """Sum_{j>=0} c_j payload(j) exp(log_scale), c_j = (-1)^j Gamma(b) /
+    (Gamma(b-j) j!), for integer and real b alike.
 
     ``log_payload`` maps an array of j (real values accepted) to the
     logs of the (positive) payloads, shaped like j, -inf for a vanishing
     term; ``what`` names the series in error messages.
 
     Terms alternate against the sign of 1/Gamma(b-j); once j exceeds b
-    the sign is constant.  Terms are computed in blocks of j whose size
-    doubles from ``_BLOCK_MIN`` to ``_BLOCK_MAX``.  Two exits:
+    the sign is constant, and at integer b every term from j = b on is
+    exactly 0, so the sum is the paper's finite binomial sum.  Terms are
+    computed in blocks of j whose size doubles from ``_BLOCK_MIN`` to
+    ``_BLOCK_MAX``.  Two exits:
 
-    * three consecutive sub-tolerance terms (fast geometric decay);
+    * three consecutive terms below ``_TERM_TOL`` past j = b + 2 (fast
+      geometric decay, and every integer-b sum);
     * once the tail is one-signed and locally flat, the remainder is a
       smooth power-decay sequence whose sum is taken by the midpoint
       (Euler-Maclaurin) integral of the continuous term extension
-      |term(x)| = prefactor * payload(x) * Gamma(x+1-b) |sin(pi b)| /
-      (pi Gamma(x+1)); this handles the slowly converging small-b case.
+      |term(x)| = exp(log_scale) Gamma(b) payload(x) Gamma(x+1-b)
+      |sin(pi b)| / (pi Gamma(x+1)); this handles the slowly converging
+      small-b case.
     """
-    log_scale = log_prefactor - math.lgamma(b)
     log_sin = math.log(abs(math.sin(math.pi * b))) - math.log(math.pi)
-    j_min = min(int(math.ceil(b)) + 3, ctl.max_terms)
+    j_min = min(int(math.ceil(b)) + 3, _MAX_TERMS)
     h = _HISTORY
     # the running sum and peak, and the last h magnitudes, signs and
     # sub-tolerance flags carried into the next block
@@ -185,7 +157,8 @@ def _sum_real_b(b: float,
                 return 0.0
             # lgamma(x+1-b) - lgamma(x+1) via the stable difference: the
             # direct subtraction is pure roundoff once x is huge
-            lmag = log_prefactor + lp + log_sin - specfun.lgamma_diff(x + 1.0 - b, b)
+            lmag = (log_scale + math.lgamma(b) + lp + log_sin
+                    - specfun.lgamma_diff(x + 1.0 - b, b))
             return math.exp(lmag) if lmag < 700.0 else math.inf
 
         x0 = j + 0.5
@@ -201,12 +174,12 @@ def _sum_real_b(b: float,
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
             tail, _ = quad(tail_integrand, 0.0, math.inf,
-                           epsabs=ctl.term_tol, epsrel=1e-9, limit=200)
+                           epsabs=_TERM_TOL, epsrel=1e-9, limit=200)
         return tail
 
     j0, size = 0, _BLOCK_MIN
-    while j0 < ctl.max_terms:
-        n = min(size, ctl.max_terms - j0)
+    while j0 < _MAX_TERMS:
+        n = min(size, _MAX_TERMS - j0)
         j = np.arange(j0, j0 + n, dtype=float)
         coef = _coefficients(b, j, coef_before)
         term = _scaled_terms(coef, log_scale, log_payload(j))
@@ -216,7 +189,7 @@ def _sum_real_b(b: float,
         # entry h + i of the extended arrays is term j0 + i
         m_ext = np.concatenate((mags, mag))
         s_ext = np.concatenate((signs, np.sign(term)))
-        k_ext = np.concatenate((small, mag < ctl.term_tol))
+        k_ext = np.concatenate((small, mag < _TERM_TOL))
         s0, s1, s2 = s_ext[h - 2:-2], s_ext[h - 1:-1], s_ext[h:]
         exit_small = k_ext[h - 2:-2] & k_ext[h - 1:-1] & k_ext[h:] & (j + 1 >= j_min)
         m8 = m_ext[:n]
@@ -225,7 +198,7 @@ def _sum_real_b(b: float,
             exit_flat = (((j >= 128) & (j % 32 == 0) & (j > b + 10))
                          & (s0 == s1) & (s1 == s2) & (s2 != 0.0) & (m8 > mag) & (mag > 0.0)
                          & (d < 0.05)
-                         & (d * mag / 8.0 < np.maximum(50.0 * ctl.term_tol,
+                         & (d * mag / 8.0 < np.maximum(50.0 * _TERM_TOL,
                                                        1e-10 * np.abs(run))))
         exits = exit_small | exit_flat
         stop = int(np.argmax(exits)) if exits.any() else n
@@ -241,7 +214,7 @@ def _sum_real_b(b: float,
                 bound = m2 if alternating else m0 + m1 + m2
                 # cancellation against the peak term caps the
                 # achievable accuracy in doubles regardless of truncation
-                return SeriesEval(value, bound + peak_i * 1e-15 + ctl.term_tol, jj + 1)
+                return SeriesEval(value, bound + peak_i * 1e-15 + _TERM_TOL, jj + 1)
             # midpoint-rule remainder for the one-signed tail is
             # |g'(X0)|/24 ~ d * t_j / 24 with d the local log-slope
             mj = float(mag[i])
@@ -249,35 +222,21 @@ def _sum_real_b(b: float,
             tail = tail_sum(jj)
             value += float(s2[i]) * tail
             _cancellation_guard(value, peak_i, what)
-            return SeriesEval(value, est_err + 1e-9 * tail + peak_i * 1e-15 + ctl.term_tol,
+            return SeriesEval(value, est_err + 1e-9 * tail + peak_i * 1e-15 + _TERM_TOL,
                               jj + 1)
         coef_before, total, peak = coef[-1], run[-1], run_peak[-1]
         mags, signs, small = m_ext[-h:], s_ext[-h:], k_ext[-h:]
         j0 += n
         size = min(2 * size, _BLOCK_MAX)
     raise SeriesConvergenceError(
-        f"{what}: series did not meet term_tol={ctl.term_tol} "
-        f"within {ctl.max_terms} terms", partial=float(total), terms=ctl.max_terms)
+        f"{what}: series did not meet term_tol={_TERM_TOL} "
+        f"within {_MAX_TERMS} terms", partial=float(total), terms=_MAX_TERMS)
 
 
-def _sum_integer_b(b_int: int,
-                   log_payload: Callable[[np.ndarray], np.ndarray],
-                   log_prefactor: float) -> SeriesEval:
-    """Finite binomial counterpart: sum_{j=0}^{b-1} C(b-1,j)(-1)^j payload(j)."""
-    j = np.arange(b_int, dtype=float)
-    term = _scaled_terms(_coefficients(b_int, j, 1.0), log_prefactor, log_payload(j))
-    if np.isinf(term).any():
-        raise OverflowError("math range error")
-    total, peak = np.cumsum(term)[-1], np.abs(term).max()
-    _cancellation_guard(total, peak, "integer-b sum")
-    return SeriesEval(float(total), float(peak) * 1e-15, b_int)
-
-
-def cdf_series(dist: BGE, x: float, ctl: SeriesControl = DEFAULT_CONTROL,
-               full_output: bool = False):
+def cdf_series(dist: BGE, x: float, full_output: bool = False):
     """Distribution function by its expansion into weighted GE cdfs.
 
-    Dispatches on integer vs real non-integer b per ``ctl``.  Returns
+    One series for integer and real b, finite at integer b.  Returns
     the truncated sum; with ``full_output=True`` returns a
     ``SeriesEval`` carrying the truncation-error bound and term count.
     """
@@ -292,12 +251,7 @@ def cdf_series(dist: BGE, x: float, ctl: SeriesControl = DEFAULT_CONTROL,
     def payload(j: np.ndarray) -> np.ndarray:
         return alpha * (a + j) * logu - np.log(a + j)
 
-    b_int = ctl.integer_b(b)
-    if b_int is not None:
-        res = _sum_integer_b(b_int, payload, -specfun.log_beta(a, b_int))
-    else:
-        pref = math.lgamma(a + b) - math.lgamma(a)
-        res = _sum_real_b(b, payload, ctl, pref, "cdf_series")
+    res = _sum_series(b, payload, -specfun.log_beta(a, b), "cdf_series")
     value = min(max(res.value, 0.0), 1.0)
     res = SeriesEval(value, res.error_bound, res.terms)
     return res if full_output else res.value
@@ -338,8 +292,7 @@ def closed_form_cdf_integer(dist: BGE, x: float, which: str) -> float:
     return math.exp(a * alpha * logu - math.lgamma(a) + lmax + math.log(s))
 
 
-def pdf_mixture(dist: BGE, x: float, ctl: SeriesControl = DEFAULT_CONTROL,
-                full_output: bool = False):
+def pdf_mixture(dist: BGE, x: float, full_output: bool = False):
     """Density through the expansion of (1-u^alpha)^(b-1) in powers of u^alpha."""
     if x <= 0.0:
         raise ValueError(f"pdf_mixture requires x > 0, got {x}")
@@ -351,24 +304,19 @@ def pdf_mixture(dist: BGE, x: float, ctl: SeriesControl = DEFAULT_CONTROL,
     def payload(j: np.ndarray) -> np.ndarray:
         return alpha * j * logu
 
-    b_int = ctl.integer_b(b)
-    if b_int is not None:
-        res = _sum_integer_b(b_int, payload, base)
-    else:
-        res = _sum_real_b(b, payload, ctl, base + math.lgamma(b), "pdf_mixture")
+    res = _sum_series(b, payload, base, "pdf_mixture")
     value = max(res.value, 0.0)
     res = SeriesEval(value, res.error_bound, res.terms)
     return res if full_output else res.value
 
 
-def mgf(dist: BGE, t: float, ctl: SeriesControl = DEFAULT_CONTROL,
-        full_output: bool = False):
+def mgf(dist: BGE, t: float, full_output: bool = False):
     """Moment generating function M(t) for t < lam.
 
-    Expands into beta-function terms B(1 - t/lam, alpha*(a+j)).  The
-    real-b series converges only while t/lam < b; outside that region
-    (and whenever the cap is reached) a ``SeriesConvergenceError`` is
-    raised.
+    Expands into beta-function terms B(1 - t/lam, alpha*(a+j)).  At
+    non-integer b the series converges only while t/lam < b; outside
+    that region (and whenever the cap is reached) a
+    ``SeriesConvergenceError`` is raised.
     """
     a, b, lam, alpha = dist.a, dist.b, dist.lam, dist.alpha
     if not (t < lam):
@@ -378,13 +326,7 @@ def mgf(dist: BGE, t: float, ctl: SeriesControl = DEFAULT_CONTROL,
     def payload(j: np.ndarray) -> np.ndarray:
         return specfun.log_beta_array(p, alpha * (a + j))
 
-    b_int = ctl.integer_b(b)
-    if b_int is not None:
-        res = _sum_integer_b(b_int, payload,
-                             math.log(alpha) - specfun.log_beta(a, b_int))
-    else:
-        pref = math.log(alpha) + math.lgamma(b) - specfun.log_beta(a, b)
-        res = _sum_real_b(b, payload, ctl, pref, "mgf")
+    res = _sum_series(b, payload, math.log(alpha) - specfun.log_beta(a, b), "mgf")
     return res if full_output else res.value
 
 
@@ -425,7 +367,7 @@ def ge_raw_moment(theta, r: int):
     return _ge_moment_rows(theta)[r - 1]
 
 
-def _moment_sum(dist: BGE, r: int, ctl: SeriesControl) -> SeriesEval:
+def _moment_sum(dist: BGE, r: int) -> SeriesEval:
     """Unscaled raw-moment series E[(lam X)^r]: GE component moments
     weighted by the paper's coefficients."""
     a, b, alpha = dist.a, dist.b, dist.alpha
@@ -433,18 +375,14 @@ def _moment_sum(dist: BGE, r: int, ctl: SeriesControl) -> SeriesEval:
     def payload(j: np.ndarray) -> np.ndarray:
         return np.log(ge_raw_moment(alpha * (a + j), r)) - np.log(a + j)
 
-    b_int = ctl.integer_b(b)
-    if b_int is not None:
-        return _sum_integer_b(b_int, payload, -specfun.log_beta(a, b_int))
-    pref = math.lgamma(a + b) - math.lgamma(a)
-    return _sum_real_b(b, payload, ctl, pref, f"raw_moment(r={r})")
+    return _sum_series(b, payload, -specfun.log_beta(a, b), f"raw_moment(r={r})")
 
 
-def raw_moment(dist: BGE, r: int, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def raw_moment(dist: BGE, r: int) -> float:
     """r-th raw moment, r in 1..4, via the weighted-GE-moment series."""
     if r not in (1, 2, 3, 4):
         raise ValueError(f"raw_moment supports r in 1..4, got {r}")
-    return _moment_sum(dist, r, ctl).value / dist.lam ** r
+    return _moment_sum(dist, r).value / dist.lam ** r
 
 
 @dataclass(frozen=True)

@@ -400,6 +400,13 @@ class TestQuantile:
                 0.06049645040918779)
         assert d.quantile(1e-9) == 0.0
 
+    def test_below_the_smallest_double_is_zero(self):
+        # the true median is about 1e-2276; +0.0 is its correctly rounded
+        # value, since the smallest positive double already has F > 1/2
+        d = BGE(0.0115, 1, 1, 0.0115)
+        assert d.cdf(5e-324) > 0.5
+        assert d.quantile(0.5) == 0.0
+
 
 class TestBoxSweep:
     """300 points log-uniform over the box [e^-4.5, e^4.5]^4, each at 40

@@ -109,6 +109,13 @@ class TestMixture:
             assert order_stat_pdf_mixture(d, OrderStatIndex(1, 1), x) == pytest.approx(
                 d.pdf(x), rel=1e-11)
 
+    def test_integer_dispatch_rule(self):
+        assert order_stats._integer_b(3.0) == 3
+        assert order_stats._integer_b(3.0 + 5e-10) == 3
+        assert order_stats._integer_b(3.0 + 5e-9) is None
+        assert order_stats._integer_b(2.5) is None
+        assert order_stats._integer_b(0.3) is None  # rounds to 0, not a valid branch
+
     def test_integer_b_small_instance(self):
         d = BGE(1.0, 2.0, 1.0, 1.0)
         idx = OrderStatIndex(1, 2)

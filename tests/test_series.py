@@ -10,12 +10,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import polygamma
 
-from bgedist import BGE
+from bgedist import BGE, series
 from bgedist import specfun as sf
-from bgedist.series import (DEFAULT_CONTROL, SeriesControl, SeriesConvergenceError,
-                            _moment_sum, cdf_series, closed_form_cdf_integer,
-                            ge_raw_moment, mgf, moment_set, pdf_mixture,
-                            raw_moment, shannon_entropy, skewness_kurtosis)
+from bgedist.series import (SeriesConvergenceError, _moment_sum, cdf_series,
+                            closed_form_cdf_integer, ge_raw_moment, mgf, moment_set,
+                            pdf_mixture, raw_moment, shannon_entropy, skewness_kurtosis)
 from test_order_stats import mp_order_stat_moment
 
 
@@ -58,10 +57,16 @@ class TestCdfSeries:
             res = cdf_series(d, x, full_output=True)
             assert abs(res.value - d.cdf(x)) <= res.error_bound + 1e-9
 
-    def test_nonconvergence_signal(self):
-        ctl = SeriesControl(max_terms=5, term_tol=1e-12)
+    def test_near_integer_b(self):
+        # b = 3 + 5e-10 is summed as the real-b series it is, not rounded
+        # to the finite b = 3 sum (which is 1.1e-10 off here)
+        want = 0.736436217739093  # mpmath I_G(3, 3 + 5e-10), G = 1 - e^-1
+        assert cdf_series(BGE(3, 3 + 5e-10, 1, 1), 1.0) == pytest.approx(want, rel=1e-12)
+
+    def test_nonconvergence_signal(self, monkeypatch):
+        monkeypatch.setattr(series, "_MAX_TERMS", 5)
         with pytest.raises(SeriesConvergenceError):
-            cdf_series(BGE(1.5, 2.7, 1.0, 1.3), 3.0, ctl)
+            cdf_series(BGE(1.5, 2.7, 1.0, 1.3), 3.0)
 
     def test_cancellation_signal_at_large_b(self):
         # moment/mgf expansions peak at ~2^b in the alternating phase
@@ -77,22 +82,6 @@ class TestCdfSeries:
 
     def test_x_zero(self):
         assert cdf_series(BGE(2, 3, 1, 1), 0.0) == 0.0
-
-
-class TestSeriesControl:
-    def test_integer_dispatch_rule(self):
-        ctl = SeriesControl(integer_b_eps=1e-9)
-        assert ctl.integer_b(3.0) == 3
-        assert ctl.integer_b(3.0 + 5e-10) == 3
-        assert ctl.integer_b(3.0 + 5e-9) is None
-        assert ctl.integer_b(2.5) is None
-        assert ctl.integer_b(0.3) is None  # rounds to 0, not a valid branch
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeriesControl(max_terms=0)
-        with pytest.raises(ValueError):
-            SeriesControl(term_tol=0.0)
 
 
 class TestClosedFormInteger:
@@ -215,7 +204,7 @@ class TestMoments:
         d = BGE(*params)
         ms = moment_set(d)
         for r in (1, 2, 3, 4):
-            ev = _moment_sum(d, r, DEFAULT_CONTROL)
+            ev = _moment_sum(d, r)
             assert ev.terms > 128 and (ev.terms - 1) % 32 == 0, (r, ev)
             want = mp_order_stat_moment(params, 1, 1, r)
             assert raw_moment(d, r) == pytest.approx(want, rel=1e-8)
