@@ -426,9 +426,9 @@ class BGE:
     def is_exponential(self) -> bool:
         return self.is_ge and self.is_be
 
-    # log B(a, b) and the log-density constant are kept in the instance
-    # dict on first use: not fields, so out of equality, hash and repr,
-    # and left out of the pickled state.
+    # log B(a, b), the log-density constant and the quantile's side split
+    # are kept in the instance dict on first use: not fields, so out of
+    # equality, hash and repr, and left out of the pickled state.
 
     @functools.cached_property
     def log_beta_ab(self) -> float:
@@ -437,6 +437,10 @@ class BGE:
     @functools.cached_property
     def _log_norm_const(self) -> float:
         return _log_norm(self.a, self.b, self.lam, self.alpha)
+
+    @functools.cached_property
+    def _p_at_v_half(self) -> float:
+        return _sc.betainc(self.a, self.b, 0.5)
 
     def __getstate__(self) -> dict:
         return {name: getattr(self, name) for name in PARAM_NAMES}
@@ -560,7 +564,7 @@ class BGE:
             raise ValueError(f"quantile requires 0 < p < 1, got {p}")
         a, b = self.a, self.b
         t, upper = (p, False) if p <= 0.5 else (1.0 - p, True)
-        swap = p > _sc.betainc(a, b, 0.5)
+        swap = p > self._p_at_v_half
         if swap:  # V > 1/2: invert for 1 - V on the Beta(b, a) side
             a, b, upper = b, a, not upper
         y = (_sc.betainccinv if upper else _sc.betaincinv)(a, b, t)

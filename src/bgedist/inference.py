@@ -7,15 +7,17 @@ of a fit advance together as the rows of one batch, whose
 log-likelihood, score and Hessian each pass takes from one broadcast
 kernel; the ladders of the nested sub-models run in the same batch
 and their optima seed the larger model, so a fit never ends below a
-model nested in it.  The search domain is a documented box,
-|log theta_i| <= 4.5 by default: on some datasets the likelihood
-increases without bound along a b -> infinity ridge on which the family
-degenerates to a generalized gamma limit, so an unbounded "MLE" does not
-exist.  Fits that terminate on the box are reported with
-``converged=False`` and the active bounds listed in ``hit_bounds``.  The
-expected information takes its beta expectations from a tanh-sinh rule
-on cached nodes, and the fit takes psi and psi' from ``specfun``, so
-fits, their covariance and likelihood-ratio tests load no scipy module.
+model nested in it.  The runs of the most recent dataset and box are
+held, and later fits there reuse them bit for bit instead of running
+them again.  The search domain is a documented box, |log theta_i| <= 4.5
+by default: on some datasets the likelihood increases without bound
+along a b -> infinity ridge on which the family degenerates to a
+generalized gamma limit, so an unbounded "MLE" does not exist.  Fits
+that terminate on the box are reported with ``converged=False`` and the
+active bounds listed in ``hit_bounds``.  The expected information takes
+its beta expectations from a tanh-sinh rule on cached nodes, and the
+fit takes psi and psi' from ``specfun``, so fits, their covariance and
+likelihood-ratio tests load no scipy module.
 """
 
 from __future__ import annotations
@@ -431,6 +433,10 @@ _BOUND_SLACK = 1e-9
 _KERNEL_BLOCK = 4096
 #: Relative rounding noise of a log-likelihood sum, per unit of |loglik| + n.
 _F_NOISE = 1e-13
+#: ((bytes of y, log_bound), what ``_ascend`` holds) of the last dataset
+#: fitted by ladder; a fit reads it once, so a concurrent one on other
+#: data can cost it the reuse but never mix two datasets' runs.
+_held: tuple = (None, {})
 
 
 def _projected(phi, free, g, lo, hi):
@@ -512,9 +518,10 @@ def _log_space(theta, score, hess):
     return g, h
 
 
-def _ascend(y: np.ndarray, plan: list, starts: dict, log_bound: float) -> dict:
-    """Runs every start of every model in ``plan`` as one row of a batch
-    and returns each model's selected run.
+def _ascend(y: np.ndarray, plan: list, starts: dict, log_bound: float, held=None) -> dict:
+    """Runs every start of every model in ``plan`` that ``held`` lacks as
+    one row of a batch, and returns ``held`` with each model's selected
+    run and the score and Hessian of its row added.
 
     Each pass evaluates the log-likelihood, score and Hessian of every
     live row by ``_loglik_score_hessian``, in blocks of at most
@@ -524,14 +531,17 @@ def _ascend(y: np.ndarray, plan: list, starts: dict, log_bound: float) -> dict:
     stopped, its selected optimum goes back in as two rows of each model
     in ``plan`` that it seeds: one that ascends from it and one that
     stays there, so that the larger model's selection, which may not end
-    below it, always has it to choose.
+    below it, always has it to choose.  A model in ``held`` (same data
+    and box) goes back in the same way before the first pass.
     """
+    held = {} if held is None else held
     logy = np.log(y)
     block = max(1, _KERNEL_BLOCK // y.size)
     lo, hi = -log_bound, log_bound
     masks = {m: np.isin(PARAM_NAMES, MODEL_FREE_PARAMS[m]) for m in plan}
     phi, group = [], []
-    for k, m in enumerate(plan):
+    to_run = [(k, m) for k, m in enumerate(plan) if m not in held]
+    for k, m in to_run:
         seen = set()
         for theta0 in starts[m]:
             p = np.where(masks[m], np.clip(np.log(theta0), lo + 1e-2, hi - 1e-2), 0.0)
@@ -541,7 +551,7 @@ def _ascend(y: np.ndarray, plan: list, starts: dict, log_bound: float) -> dict:
             phi.append(p), group.append(k)
     ladder = np.arange(len(group))
     seeds = []                                  # (sub-model, row that stays, row that ascends)
-    for k, m in enumerate(plan):
+    for k, m in to_run:
         for sub in _SEEDS.get(m, ()):
             if sub in plan:
                 seeds.append((sub, len(group), len(group) + 1))
@@ -556,7 +566,6 @@ def _ascend(y: np.ndarray, plan: list, starts: dict, log_bound: float) -> dict:
     radius = np.full(rows, _RADIUS0)
     live = np.zeros(rows, bool)
     evals, steps = np.zeros(rows, int), np.zeros(rows, int)
-    chosen: dict = {}
 
     def evaluate(pts):
         theta = np.exp(pts)
@@ -573,11 +582,20 @@ def _ascend(y: np.ndarray, plan: list, starts: dict, log_bound: float) -> dict:
         done = (np.max(np.abs(proj), axis=1) <= _STOP_TOL) | (evals[idx] >= _MAX_EVALS)
         live[idx[done]] = False
 
+    def choose(m, run):
+        held[m] = run
+        for sub, stay, go in seeds:
+            if sub == m:
+                phi[[stay, go]], f[[stay, go]], g[[stay, go]], hess[[stay, go]] = \
+                    run[0], run[1], run[6], run[7]
+                live[go] = True
+                stop_converged(np.array([go]))
+
     def close_models():
         for k, m in enumerate(plan):
             mine = np.flatnonzero(group == k)
-            if m in chosen or live[mine].any() or any(
-                    sub in plan and sub not in chosen for sub in _SEEDS.get(m, ())):
+            if m in held or live[mine].any() or any(
+                    sub in plan and sub not in held for sub in _SEEDS.get(m, ())):
                 continue
             proj, hit = _projected(phi[mine], free[mine], g[mine], lo, hi)
             pg = np.max(np.abs(proj), axis=1)
@@ -588,15 +606,12 @@ def _ascend(y: np.ndarray, plan: list, starts: dict, log_bound: float) -> dict:
                 pool = np.arange(mine.size)
             best = pool[np.argmax(f[mine][pool])]       # the first of equal maxima
             r = mine[best]
-            chosen[m] = (phi[r], f[r], pg[best], bool(conv[best]),
-                         tuple(p for p, h in zip(PARAM_NAMES, hit[best]) if h), int(steps[r]))
-            for sub, stay, go in seeds:
-                if sub == m:
-                    phi[[stay, go]], f[[stay, go]], g[[stay, go]], hess[[stay, go]] = \
-                        phi[r], f[r], g[r], hess[r]
-                    live[go] = True
-                    stop_converged(np.array([go]))
+            choose(m, (phi[r], f[r], pg[best], bool(conv[best]),
+                       tuple(p for p, h in zip(PARAM_NAMES, hit[best]) if h), int(steps[r]),
+                       g[r], hess[r]))
 
+    for m, run in list(held.items()):
+        choose(m, run)
     f[ladder], g[ladder], hess[ladder], live[ladder] = evaluate(phi[ladder])
     evals[ladder] = 1
     stop_converged(ladder)
@@ -634,7 +649,7 @@ def _ascend(y: np.ndarray, plan: list, starts: dict, log_bound: float) -> dict:
             steps[acc] += 1
             stop_converged(stepping)
         close_models()
-    return chosen
+    return held
 
 
 def fit_mle(data, model: str = "bge", init: BGE | None = None, *,
@@ -667,7 +682,9 @@ def fit_mle(data, model: str = "bge", init: BGE | None = None, *,
         "ge", "be" and "dge" ladders in the same batch; each sub-model's
         selected optimum (what ``fit_mle`` returns for it) then joins
         the larger model's batch as one more start, so a fit never ends
-        below a model nested in it.
+        below a model nested in it.  The runs of the last data and
+        ``log_bound`` fitted without ``init`` are held and reused bit for
+        bit; an ``init`` fit neither reads nor adds to them.
     log_bound : float
         Half-width of the log-parameter search box.
 
@@ -682,13 +699,20 @@ def fit_mle(data, model: str = "bge", init: BGE | None = None, *,
     """
     if model not in MODEL_FREE_PARAMS:
         raise ValueError(f"unknown model tag {model!r}; expected one of {sorted(MODEL_FREE_PARAMS)}")
+    global _held
     y = _as_values(data)
     if init is not None:
-        plan, starts = [model], {model: [np.array(init.params_tuple())]}
+        held = _ascend(y, [model], {model: [np.array(init.params_tuple())]}, log_bound)
     else:
-        plan = [*_SEEDS.get(model, ()), model]
-        starts = _ladders(plan, y)
-    phi, loglik, pg_norm, converged, hit, steps = _ascend(y, plan, starts, log_bound)[model]
+        key = (y.tobytes(), log_bound)
+        held_key, held = _held
+        if held_key != key:
+            held = {}
+            _held = (key, held)
+        if model not in held:
+            plan = [*_SEEDS.get(model, ()), model]
+            _ascend(y, plan, _ladders([m for m in plan if m not in held], y), log_bound, held)
+    phi, loglik, pg_norm, converged, hit, steps, *_ = held[model]
     dist = BGE(*np.exp(phi))
     free_idx = [PARAM_NAMES.index(p) for p in MODEL_FREE_PARAMS[model]]
 
@@ -753,6 +777,8 @@ class LrTestResult:
 
 
 def lr_from_fits(fit_null: FitResult, fit_alt: FitResult) -> LrTestResult:
+    if fit_null.n_obs != fit_alt.n_obs:
+        raise ValueError(f"fits of different data: n_obs {fit_null.n_obs} and {fit_alt.n_obs}")
     null_free = set(MODEL_FREE_PARAMS[fit_null.model])
     alt_free = set(MODEL_FREE_PARAMS[fit_alt.model])
     if not null_free <= alt_free:

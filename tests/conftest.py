@@ -6,6 +6,7 @@ import pytest
 from scipy import optimize, special, stats
 
 from bgedist import BGE, glass_fibre_sample
+from bgedist.distribution import _TS_H0, _TS_LEVELS, _tanh_sinh_level
 from bgedist.inference import score_contributions
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -35,6 +36,44 @@ def mc_expected_information(dist, n_draws, rng, rel_step=1e-5):
     est = -hess.mean(axis=0)
     se = hess.std(axis=0, ddof=1) / math.sqrt(n_draws)
     return est, se
+
+
+def latent_score_information(dist):
+    """Expected information per observation, K = E[s s^T], with the score
+    s of one observation written in the latent variate V ~ Beta(a, b) of
+    x = -log(1 - V^(1/alpha)) / lam.
+
+    The expectation is a sum over every node of the shared tanh-sinh rule
+    at its finest step, each weighted by the Beta(a, b) density.  Every
+    factor is formed from log V and log(1 - V), not from x, which loses
+    1 - V below 1e-16.  With z = -log V / alpha and L = lam x =
+    -log(1 - e^-z), the scaled scores are
+    lam s_lam = 1 - L + (alpha a - 1) L (e^z - 1) - alpha (b - 1) L (e^z - 1) V / (1 - V)
+    and alpha s_alpha = 1 + a log V - (b - 1) V log V / (1 - V), whose
+    last ratio is -exp(log V + log(-log V) - log(1 - V)), finite as V -> 1.
+    """
+    a, b, lam, alpha = dist.params_tuple()
+    logv, log1mv, loglogv, logw = np.concatenate(
+        [_tanh_sinh_level(k) for k in range(_TS_LEVELS)], axis=1)
+    weight = (_TS_H0 / 2 ** (_TS_LEVELS - 1)) * np.exp(
+        logw + (a - 1.0) * logv + (b - 1.0) * log1mv - special.betaln(a, b))
+    log_z = loglogv - math.log(alpha)
+    z = np.exp(log_z)
+    with np.errstate(divide="ignore"):
+        # log(1 - e^-z), each branch accurate on its own range
+        log1mu = np.where(z < 1e-8, log_z - 0.5 * z, np.where(
+            z < math.log(2.0), np.log(-np.expm1(-z)), np.log1p(-np.exp(-z))))
+        log_l = np.where(z > 30.0, -z, np.log(-log1mu))      # L = e^-z (1 + O(e^-z))
+    log_e1 = log_l + z + log1mu                              # log L (e^z - 1)
+    e1, e2 = np.exp(log_e1), np.exp(log_e1 + logv - log1mv)
+    psi_ab = special.digamma(a + b)
+    s = np.stack([
+        logv - special.digamma(a) + psi_ab,
+        log1mv - special.digamma(b) + psi_ab,
+        (1.0 - np.exp(log_l) + (alpha * a - 1.0) * e1 - alpha * (b - 1.0) * e2) / lam,
+        (1.0 + a * logv + (b - 1.0) * np.exp(logv + loglogv - log1mv)) / alpha,
+    ])
+    return (s * weight) @ s.T
 
 
 @pytest.fixture(scope="session")

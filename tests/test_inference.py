@@ -504,8 +504,11 @@ class TestFit:
                 assert chosen[model][1] >= chosen[sub][1]
 
     @pytest.mark.parametrize("model", ["ge", "be", "dge", "bge"])
-    def test_repeat_fit_is_identical(self, glass_fibre, model):
+    def test_repeat_fit_is_identical(self, monkeypatch, glass_fibre, model):
+        # nothing is held before either call, so both runs are cold
+        monkeypatch.setattr(inf, "_held", (None, {}))
         one = fit_mle(glass_fibre, model, compute_covariance=False)
+        monkeypatch.setattr(inf, "_held", (None, {}))
         two = fit_mle(glass_fibre, model, compute_covariance=False)
         assert repr(one.loglik) == repr(two.loglik)
         assert one.iterations == two.iterations
@@ -601,6 +604,99 @@ class TestFit:
             assert sup < 0.05, (true, fit.params, sup)
 
 
+class TestHeldRuns:
+    """Ladder fits on one dataset and box reuse the runs already made
+    there, and return what a cold fit returns, bit for bit."""
+
+    @staticmethod
+    def cold(monkeypatch, data, model, **kw):
+        monkeypatch.setattr(inf, "_held", (None, {}))
+        return fit_mle(data, model, **kw)
+
+    @staticmethod
+    def assert_same(got, want):
+        for name in ("params", "loglik", "score_norm", "iterations", "converged", "hit_bounds"):
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+        assert (None if got.covariance is None else got.covariance.tobytes()) == \
+            (None if want.covariance is None else want.covariance.tobytes())
+
+    @pytest.fixture
+    def kernel_rows(self, monkeypatch):
+        """Row counts of the kernel calls made since it was last cleared."""
+        rows, kernel = [], inf._loglik_score_hessian
+
+        def counting(theta, y, logy):
+            rows.append(len(theta))
+            return kernel(theta, y, logy)
+
+        monkeypatch.setattr(inf, "_loglik_score_hessian", counting)
+        return rows
+
+    @pytest.fixture(scope="class")
+    def interior(self):
+        return BGE(2.0, 1.5, 1.0, 2.0).sample(200, np.random.default_rng(41))
+
+    @pytest.mark.parametrize("order", [("ge", "be", "dge", "bge"), ("bge", "be", "ge"),
+                                       ("ge", "be", "bge")],
+                             ids=["fit_study", "compare", "reproduce"])
+    @pytest.mark.parametrize("which", ["glass_fibre", "interior"])
+    def test_call_orders(self, monkeypatch, request, kernel_rows, order, which):
+        data = request.getfixturevalue(which)
+        want, cold_rows = {}, {}
+        for m in order:
+            kernel_rows.clear()
+            want[m] = self.cold(monkeypatch, data, m)
+            cold_rows[m] = sum(kernel_rows)
+        monkeypatch.setattr(inf, "_held", (None, {}))
+        ran = set()                     # the models fitted so far, alone or inside a fit
+        for m in order:
+            kernel_rows.clear()
+            self.assert_same(fit_mle(data, m), want[m])
+            # a model that ran before, or that one of them seeds, runs fewer rows
+            reused = m in ran or any(sub in ran for sub in inf._SEEDS.get(m, ()))
+            assert (sum(kernel_rows) < cold_rows[m]) if reused else (sum(kernel_rows) == cold_rows[m])
+            ran |= {m, *inf._SEEDS.get(m, ())}
+
+    @pytest.mark.parametrize("model", ["exp", "ge", "be", "dge", "bge"])
+    def test_exact_repeat_runs_no_kernel(self, monkeypatch, glass_fibre, kernel_rows, model):
+        want = self.cold(monkeypatch, glass_fibre, model)
+        kernel_rows.clear()
+        self.assert_same(fit_mle(glass_fibre.values.copy(), model), want)
+        assert kernel_rows == []
+
+    def test_other_bound_is_not_reused(self, monkeypatch, glass_fibre):
+        want = self.cold(monkeypatch, glass_fibre, "bge", log_bound=4.0)
+        at_default = self.cold(monkeypatch, glass_fibre, "bge")
+        assert want.params.b != at_default.params.b     # b ends on the box here
+        self.assert_same(fit_mle(glass_fibre, "bge", log_bound=4.0), want)
+        self.assert_same(fit_mle(glass_fibre, "bge"), at_default)
+
+    def test_init_fit_neither_reads_nor_adds(self, monkeypatch, glass_fibre):
+        init = BGE.ge(2.0, 20.0)
+        want = self.cold(monkeypatch, glass_fibre, "ge", init=init)
+        ladder = self.cold(monkeypatch, glass_fibre, "ge")
+        assert want.iterations != ladder.iterations
+        fit_mle(glass_fibre, "bge")
+        key, held = inf._held
+        runs = dict(held)
+        self.assert_same(fit_mle(glass_fibre, "ge", init=init), want)
+        fit_mle(glass_fibre.values[:30], "bge", init=BGE(1.0, 2.0, 1.0, 5.0))
+        assert inf._held[0] == key and inf._held[1] is held
+        assert held.keys() == runs.keys() and all(held[m] is runs[m] for m in runs)
+        self.assert_same(fit_mle(glass_fibre, "ge"), ladder)
+
+    def test_one_dataset_is_held(self, monkeypatch, glass_fibre, interior, kernel_rows):
+        kernel_rows.clear()
+        want = self.cold(monkeypatch, glass_fibre, "bge")
+        cold_rows = sum(kernel_rows)
+        fit_mle(interior, "ge")
+        assert inf._held[0] == (interior.values.tobytes(), inf.DEFAULT_LOG_BOUND)
+        assert list(inf._held[1]) == ["ge"]
+        kernel_rows.clear()
+        self.assert_same(fit_mle(glass_fibre, "bge"), want)
+        assert sum(kernel_rows) == cold_rows
+
+
 class TestConfidenceIntervals:
     def test_z_quantile(self):
         from statistics import NormalDist
@@ -666,6 +762,11 @@ class TestLrTests:
     def test_not_nested_rejected(self, glass_fibre):
         with pytest.raises(ValueError):
             lr_test(glass_fibre, "be", "ge")
+
+    def test_fits_of_different_data_rejected(self, glass_fibre):
+        # read as one test, these two fits would give w = 2.90, p = 0.234
+        with pytest.raises(ValueError, match="different data"):
+            lr_from_fits(fit_mle(glass_fibre.values[:30], "ge"), fit_mle(glass_fibre, "bge"))
 
     def test_ge_vs_bge_glass_fibre(self, glass_fibre):
         lr = lr_test(glass_fibre, "ge", "bge")
