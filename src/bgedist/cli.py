@@ -187,14 +187,18 @@ def cmd_curve(args, out) -> int:
     if args.sweep is not None:
         if lo <= 0.0:
             raise UsageError("--sweep grid must be positive")
-        from .series import skewness_kurtosis
+        from .series import SeriesConvergenceError, skewness_kurtosis
 
         print(f"# {args.sweep}\tskewness\tkurtosis", file=out)
         base = list(dist.params_tuple())
         pos = {"a": 0, "b": 1}[args.sweep]
         for value in np.linspace(lo, hi, points):
             base[pos] = float(value)
-            skew, kurt = skewness_kurtosis(BGE(*base))
+            try:
+                skew, kurt = skewness_kurtosis(BGE(*base))
+            except SeriesConvergenceError as exc:
+                print(f"non-convergence: {exc}", file=sys.stderr)
+                return EXIT_NOCONV
             print(f"{value:.10g}\t{skew:.10g}\t{kurt:.10g}", file=out)
         return EXIT_OK
     if lo < 0.0:

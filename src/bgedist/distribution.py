@@ -389,7 +389,7 @@ class BGE:
                 raise ValueError(f"BGE parameter {name} must be positive and finite, got {v}")
             object.__setattr__(self, name, float(v))
 
-    # -- sub-model constructors and predicates --------------------------------
+    # -- sub-model constructors ------------------------------------------------
 
     @classmethod
     def ge(cls, lam: float, alpha: float) -> "BGE":
@@ -409,22 +409,6 @@ class BGE:
     @classmethod
     def exponential(cls, lam: float) -> "BGE":
         return cls(1.0, 1.0, lam, 1.0)
-
-    @property
-    def is_ge(self) -> bool:
-        return self.a == 1.0 and self.b == 1.0
-
-    @property
-    def is_be(self) -> bool:
-        return self.alpha == 1.0
-
-    @property
-    def is_dge(self) -> bool:
-        return self.a == 1.0
-
-    @property
-    def is_exponential(self) -> bool:
-        return self.is_ge and self.is_be
 
     # log B(a, b), the log-density constant and the quantile's side split
     # are kept in the instance dict on first use: not fields, so out of

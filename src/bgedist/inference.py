@@ -5,9 +5,10 @@ are positive) by a projected Newton method with a trust region on the
 analytic Hessian, from a deterministic multi-start ladder.  All starts
 of a fit advance together as the rows of one batch, whose
 log-likelihood, score and Hessian each pass takes from one broadcast
-kernel; the ladders of the nested sub-models run in the same batch
-and their optima seed the larger model, so a fit never ends below a
-model nested in it.  The runs of the most recent dataset and box are
+kernel; the public ``score`` is that kernel's score row at one point.
+The ladders of the nested sub-models run in the same batch and their
+optima seed the larger model, so a fit never ends below a model nested
+in it.  The runs of the most recent dataset and box are
 held, and later fits there reuse them bit for bit instead of running
 them again.  The search domain is a documented box, |log theta_i| <= 4.5
 by default: on some datasets the likelihood increases without bound
@@ -42,7 +43,6 @@ __all__ = [
     "LrTestResult",
     "log_likelihood",
     "score",
-    "score_contributions",
     "t_expectation",
     "information_matrix",
     "fit_mle",
@@ -70,47 +70,10 @@ def _as_values(data) -> np.ndarray:
     return Sample(np.asarray(data, dtype=float)).values
 
 
-def _pieces(theta: np.ndarray, y: np.ndarray):
-    """(params, *``_log_density``) at ``theta`` over y: the log-density
-    and the intermediates that the score and Hessian share.
-
-    A 1-D ``theta`` gives the parameters as Python floats, on which the
-    scalar special functions run faster than on numpy scalars, and
-    arrays over y.  A (rows, 4) ``theta`` gives them as (rows, 1)
-    columns and arrays of shape (rows, n), each row bit for bit what
-    the 1-D call returns for it.
-    """
-    if theta.ndim == 1:
-        params = theta.tolist()
-        log_norm = _log_norm(*params)
-    else:
-        params = list(theta.T[:, :, None])
-        log_norm = np.array([[_log_norm(*row)] for row in theta.tolist()])
-    return (params, *_log_density(params, log_norm, y))
-
-
-def _score_contrib(pieces, y: np.ndarray) -> np.ndarray:
-    """Per-observation score vectors, shape (n, 4)."""
-    (a, b, lam, alpha), _, z, logu, alogu, log1mua = pieces
-    psi_a = specfun.digamma(a)
-    psi_b = specfun.digamma(b)
-    psi_ab = specfun.digamma(a + b)
-    arg = -z - logu
-    # y e^{-lam y} / u; e^arg overflows once lam y is below about 1e-308
-    w1 = y * np.exp(arg) if arg.max() < 709.0 else np.exp(np.log(y) + arg)
-    ratio = np.exp(alogu - log1mua)             # u^alpha / (1 - u^alpha)
-    out = np.empty((y.size, 4))
-    out[:, 0] = alogu - (psi_a - psi_ab)
-    out[:, 1] = log1mua - (psi_b - psi_ab)
-    out[:, 2] = 1.0 / lam - y + (alpha * a - 1.0) * w1 - alpha * (b - 1.0) * w1 * ratio
-    out[:, 3] = 1.0 / alpha + a * logu - (b - 1.0) * ratio * logu
-    return out
-
-
 def _loglik_score_hessian(theta: np.ndarray, y: np.ndarray, logy: np.ndarray):
     """Log-likelihood (rows,), score (rows, 4) and Hessian (rows, 4, 4)
     in (a, b, lam, alpha) at each row of ``theta`` (rows, 4), from one
-    broadcast pass of ``_pieces``; ``logy`` is log(y).
+    broadcast pass of ``_log_density``; ``logy`` is log(y).
 
     The log-likelihood has the bits of ``log_likelihood`` at each row.
     The score and Hessian take psi and psi' of a, b and a + b from one
@@ -121,7 +84,8 @@ def _loglik_score_hessian(theta: np.ndarray, y: np.ndarray, logy: np.ndarray):
     where u^alpha rounds near 1; it is only formed in log space, inside
     its products with L^2, L L' and L'^2, which stay finite.
     """
-    _, logf, z, logu, alogu, log1mua = _pieces(theta, y)
+    log_norm = np.array([[_log_norm(*row)] for row in theta.tolist()])
+    logf, z, logu, alogu, log1mua = _log_density(list(theta.T[:, :, None]), log_norm, y)
     ll = logf.sum(axis=1)
 
     log_mlogu = np.log(-logu)                       # log(-L)
@@ -194,16 +158,11 @@ def log_likelihood(dist: BGE, data) -> float:
 
 
 def score(dist: BGE, data) -> ScoreVector:
-    """Analytic score (gradient of the total log-likelihood)."""
+    """Analytic score (gradient of the total log-likelihood): the fit
+    kernel's score row at ``dist``."""
     y = _as_values(data)
-    g = _score_contrib(_pieces(np.array(dist.params_tuple()), y), y).sum(axis=0)
-    return ScoreVector(*g)
-
-
-def score_contributions(dist: BGE, data) -> np.ndarray:
-    """Per-observation score vectors, shape (n, 4); sums to ``score``."""
-    y = _as_values(data)
-    return _score_contrib(_pieces(np.array(dist.params_tuple()), y), y)
+    theta = np.array([dist.params_tuple()])
+    return ScoreVector(*_loglik_score_hessian(theta, y, np.log(y))[1][0].tolist())
 
 
 # -- expectations over the latent beta variate ----------------------------------

@@ -18,9 +18,9 @@ written here, so the fit, its covariance and its likelihood-ratio tests
 load no scipy module.
 Against mpmath, ``scipy.special.betaln`` loses about 1e-10 relative at
 b ~ 2e4 where ``log_beta`` holds 3e-14.  The scalar ``digamma`` and
-``trigamma`` serve the information matrix, ``score`` and the
-moment-matched fit start; ``_psi_trigamma`` serves the batched fit
-kernel.
+``trigamma`` serve the information matrix, the moment-matched fit start
+and ``shannon_entropy``; ``_psi_trigamma`` serves the batched fit
+kernel, and so ``score``.
 """
 
 from __future__ import annotations

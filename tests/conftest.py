@@ -6,8 +6,9 @@ import pytest
 from scipy import optimize, special, stats
 
 from bgedist import BGE, glass_fibre_sample
-from bgedist.distribution import _TS_H0, _TS_LEVELS, _tanh_sinh_level
-from bgedist.inference import score_contributions
+from bgedist import specfun as sf
+from bgedist.distribution import (_LOGU_CLAMP, _TS_H0, _TS_LEVELS, _tanh_sinh_level,
+                                  log1mexp)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -15,10 +16,42 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 ACCEPTANCE_RESULTS: list = []
 
 
+# Reference likelihood pieces and per-observation score, in plain
+# column-stacked form.  The library writes the score once, as the fit
+# kernel's score row; this is the test suite's independent writing of
+# each observation's share of it.
+
+
+def _ref_pieces(theta, y):
+    """Shared stable intermediates for likelihood and score."""
+    a, b, lam, alpha = theta
+    z = lam * y
+    logu = np.minimum(log1mexp(z), _LOGU_CLAMP)
+    return z, logu, log1mexp(-alpha * logu)
+
+
+def _ref_score_contrib(theta, y):
+    """Per-observation score vectors, shape (n, 4)."""
+    a, b, lam, alpha = theta
+    z, logu, log1mua = _ref_pieces(theta, y)
+    psi_a = sf.digamma(a)
+    psi_b = sf.digamma(b)
+    psi_ab = sf.digamma(a + b)
+    arg = -z - logu
+    # y e^{-lam y} / u; e^arg overflows once lam y is below about 1e-308
+    w1 = y * np.exp(arg) if arg.max() < 709.0 else np.exp(np.log(y) + arg)
+    ratio = np.exp(alpha * logu - log1mua)      # u^alpha / (1 - u^alpha)
+    d_a = alpha * logu - (psi_a - psi_ab)
+    d_b = log1mua - (psi_b - psi_ab)
+    d_lam = 1.0 / lam - y + (alpha * a - 1.0) * w1 - alpha * (b - 1.0) * w1 * ratio
+    d_alpha = 1.0 / alpha + a * logu - (b - 1.0) * ratio * logu
+    return np.column_stack([d_a, d_b, d_lam, d_alpha])
+
+
 def mc_expected_information(dist, n_draws, rng, rel_step=1e-5):
     """Monte Carlo estimate of E[-d^2 l / d theta d theta^T] per observation.
 
-    Central finite differences of the analytic per-observation score
+    Central finite differences of the reference per-observation score
     over ``n_draws`` draws from ``dist``.  Returns (estimate,
     standard_errors), both 4x4.
     """
@@ -29,8 +62,7 @@ def mc_expected_information(dist, n_draws, rng, rel_step=1e-5):
         h = rel_step * theta[idx]
         tp = theta.copy(); tp[idx] += h
         tm = theta.copy(); tm[idx] -= h
-        cols.append((score_contributions(BGE(*tp), y)
-                     - score_contributions(BGE(*tm), y)) / (2.0 * h))
+        cols.append((_ref_score_contrib(tp, y) - _ref_score_contrib(tm, y)) / (2.0 * h))
     hess = np.stack(cols, axis=1)               # (n, 4, 4), d s_j / d theta_i
     hess = 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
     est = -hess.mean(axis=0)

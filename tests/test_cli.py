@@ -252,6 +252,15 @@ class TestCurveCommand:
         skew = [float(r[1]) for r in rows]
         assert all(s2 < s1 for s1, s2 in zip(skew, skew[1:]))
 
+    def test_sweep_non_convergence_exit_code(self, capsys):
+        # at b = 1e-300 the moments' tanh-sinh rule does not converge:
+        # one stderr line and exit code 3, not a traceback
+        code, _ = run_cli("curve", "--params", "1,1,1,1", "--sweep", "b",
+                          "--grid", "1e-300:1:3")
+        assert code == EXIT_NOCONV
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("non-convergence: ")
+
 
 class TestReproduceCommand:
     def test_report_structure_and_green_rows(self):

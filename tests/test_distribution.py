@@ -47,10 +47,10 @@ class TestValidation:
             Sample(np.array([1.0, float("inf")]))
 
     def test_submodel_predicates(self):
-        assert BGE.ge(1, 2).is_ge and not BGE.ge(1, 2).is_exponential
-        assert BGE.be(2, 3, 1).is_be
-        assert BGE.dge(2, 1, 3).is_dge
-        assert BGE.exponential(1.0).is_exponential
+        assert BGE.ge(1, 2).params_tuple() == (1.0, 1.0, 1.0, 2.0)
+        assert BGE.be(2, 3, 1).params_tuple() == (2.0, 3.0, 1.0, 1.0)
+        assert BGE.dge(2, 1, 3).params_tuple() == (1.0, 2.0, 1.0, 3.0)
+        assert BGE.exponential(1.0).params_tuple() == (1.0, 1.0, 1.0, 1.0)
 
     def test_cached_constants_stay_out_of_value_semantics(self):
         d = BGE(2.0, 0.35, 1.0, 1.5)

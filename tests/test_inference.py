@@ -10,14 +10,12 @@ import pytest
 import bgedist.inference as inf
 from bgedist import BGE
 from bgedist import specfun as sf
-from bgedist.distribution import _LOGU_CLAMP, log1mexp
 from bgedist.inference import (NonIntegrableError, confidence_intervals,
                                fit_mle, fit_result_kv, information_matrix,
                                log_likelihood, lr_from_fits, lr_result_kv,
-                               lr_test, parse_fit_result_kv, score,
-                               score_contributions, t_expectation)
+                               lr_test, parse_fit_result_kv, score, t_expectation)
 
-from conftest import mc_expected_information
+from conftest import _ref_pieces, _ref_score_contrib, mc_expected_information
 
 
 class TestLogLikelihood:
@@ -79,7 +77,7 @@ class TestScore:
     def test_contributions_sum(self, rng):
         d = BGE(1.5, 2.0, 0.8, 1.2)
         data = d.sample(50, rng)
-        contrib = score_contributions(d, data)
+        contrib = _ref_score_contrib(np.array(d.params_tuple()), data.values)
         assert contrib.shape == (50, 4)
         assert np.allclose(contrib.sum(axis=0), score(d, data).as_array(), rtol=1e-12)
 
@@ -87,68 +85,69 @@ class TestScore:
         # y e^(-lam y) / u -> 1/lam as y -> 0, so d_lam -> alpha a / lam;
         # e^(-lam y - log u) alone overflows below lam y ~ 1e-308
         d = BGE(2.0, 3.0, 0.5, 1.5)
-        contrib = score_contributions(d, [1e-310, 1.0])
-        assert np.all(np.isfinite(contrib))
-        assert contrib[0, 2] == pytest.approx(d.alpha * d.a / d.lam, rel=1e-12)
+        assert np.all(np.isfinite(score(d, [1e-310, 1.0]).as_array()))
+        assert score(d, [1e-310]).d_lambda == pytest.approx(d.alpha * d.a / d.lam, rel=1e-12)
 
     def test_expected_score_vanishes_monte_carlo(self):
         d = BGE(2.0, 3.0, 1.0, 1.5)
         draws = d.sample(1_000_000, np.random.default_rng(21))
-        contrib = score_contributions(d, draws)
-        mean = contrib.mean(axis=0)
-        se = contrib.std(axis=0, ddof=1) / math.sqrt(contrib.shape[0])
+        n = draws.values.size
+        mean = score(d, draws).as_array() / n
+        contrib = _ref_score_contrib(np.array(d.params_tuple()), draws.values)
+        se = contrib.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(mean) < 4.0 * se)
 
+    @pytest.mark.parametrize("theta", [(1.7, 0.6, 2.3, 0.9), tuple(np.exp([4.5, -4.5, 4.5, -4.5])),
+                                       (2.0, 0.05, 1.0, 1.0)], ids=["interior", "corner", "small_b"])
+    def test_matches_mpmath_derivative(self, theta):
+        # an oracle that shares nothing with the library: mpmath's
+        # numerical derivative of the log-likelihood written at 30 digits
+        d = BGE(*theta)
+        y = d.quantile((np.arange(20) + 0.5) / 20)
+        with mp.workdps(30):
+            ys = [mp.mpf(float(v)) for v in y]
 
-# Reference likelihood kernel in its plain column-stacked form; the
-# library's one-pass kernel evaluates the same expressions and must
-# return the same bits.
+            def log_u(z):
+                # log(1 - e^-z), from whichever of e^-z and 1 - e^-z is small
+                return mp.log1p(-mp.exp(-z)) if z > 1 else mp.log(-mp.expm1(-z))
+
+            def loglik(a, b, lam, alpha):
+                logu = [log_u(lam * v) for v in ys]
+                return mp.fsum(mp.log(alpha * lam) - mp.log(mp.beta(a, b)) - lam * v
+                               + (alpha * a - 1) * lu + (b - 1) * mp.log(-mp.expm1(alpha * lu))
+                               for v, lu in zip(ys, logu))
+
+            point = [mp.mpf(float(t)) for t in theta]
+            want = np.array([float(mp.diff(loglik, point, tuple(int(i == k) for i in range(4))))
+                             for k in range(4)])
+        got = score(d, y).as_array()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _ref_pieces(theta, y):
-    """Shared stable intermediates for likelihood and score."""
+# Reference log-likelihood in its plain column-stacked form, on the
+# pieces of the reference score in conftest: the library's one-pass
+# kernel evaluates the same log-density and must return the same bits.
+
+
+def _ref_loglik(theta, y) -> float:
     a, b, lam, alpha = theta
-    z = lam * y
-    logu = np.minimum(log1mexp(z), _LOGU_CLAMP)
-    return z, logu, log1mexp(-alpha * logu)
-
-
-def _ref_loglik(theta, y, pieces=None) -> float:
-    a, b, lam, alpha = theta
-    z, logu, log1mua = _ref_pieces(theta, y) if pieces is None else pieces
+    z, logu, log1mua = _ref_pieces(theta, y)
     return float(np.sum(math.log(alpha) + math.log(lam) - sf.log_beta(a, b)
                         - z + (alpha * a - 1.0) * logu + (b - 1.0) * log1mua))
-
-
-def _ref_score_contrib(theta, y, pieces=None):
-    """Per-observation score vectors, shape (n, 4)."""
-    a, b, lam, alpha = theta
-    z, logu, log1mua = _ref_pieces(theta, y) if pieces is None else pieces
-    psi_a = sf.digamma(a)
-    psi_b = sf.digamma(b)
-    psi_ab = sf.digamma(a + b)
-    arg = -z - logu
-    # y e^{-lam y} / u; e^arg overflows once lam y is below about 1e-308
-    w1 = y * np.exp(arg) if arg.max() < 709.0 else np.exp(np.log(y) + arg)
-    ratio = np.exp(alpha * logu - log1mua)      # u^alpha / (1 - u^alpha)
-    d_a = alpha * logu - (psi_a - psi_ab)
-    d_b = log1mua - (psi_b - psi_ab)
-    d_lam = 1.0 / lam - y + (alpha * a - 1.0) * w1 - alpha * (b - 1.0) * w1 * ratio
-    d_alpha = 1.0 / alpha + a * logu - (b - 1.0) * ratio * logu
-    return np.column_stack([d_a, d_b, d_lam, d_alpha])
 
 
 class TestKernelMatchesReference:
     @staticmethod
     def assert_same_bits(theta, y):
+        # the log-likelihood keeps its bits; the score sums in a
+        # different order, so it matches the reference's sum to 1e-12
         d = BGE(*theta)
         want_ll = _ref_loglik(theta, y)
-        want_contrib = _ref_score_contrib(theta, y)
-        want_score = want_contrib.sum(axis=0)
+        want_score = _ref_score_contrib(theta, y).sum(axis=0)
         assert repr(float(np.sum(d.logpdf(y)))) == repr(want_ll)
         assert repr(log_likelihood(d, y)) == repr(want_ll)
-        np.testing.assert_array_equal(score(d, y).as_array(), want_score, strict=True)
-        np.testing.assert_array_equal(score_contributions(d, y), want_contrib, strict=True)
+        got = score(d, y).as_array()
+        assert np.max(np.abs(got - want_score)) <= 1e-12 * np.max(np.abs(want_score)), theta
 
     @pytest.mark.parametrize("n", [63, 1000])
     def test_box_points_and_corners(self, n):
@@ -194,17 +193,13 @@ class TestHessianKernel:
 
     @pytest.mark.parametrize("n", [63, 1000])
     def test_one_row_has_the_bits_of_the_1d_path(self, n):
-        # the shared pieces and the log-likelihood keep their bits; the
-        # score takes psi from the elementwise _psi_trigamma, not digamma
+        # one row's log-likelihood has the bits of logpdf's 1-D path, and
+        # its score row is the public score
         for theta, y in self.points(n):
-            (_, *flat), (_, *rows) = inf._pieces(theta, y), inf._pieces(theta[None], y)
-            for want, got in zip(flat, rows):
-                np.testing.assert_array_equal(got, want[None], strict=True)
             ll, sc, _ = inf._loglik_score_hessian(theta[None], y, np.log(y))
             d = BGE(*theta)
-            want_ll, want_score = log_likelihood(d, y), score(d, y).as_array()
-            assert repr(float(ll[0])) == repr(want_ll)
-            assert np.max(np.abs(sc[0] - want_score)) <= 1e-12 * np.max(np.abs(want_score))
+            assert repr(float(ll[0])) == repr(log_likelihood(d, y))
+            np.testing.assert_array_equal(sc[0], score(d, y).as_array(), strict=True)
 
     def test_rows_do_not_depend_on_the_batch(self):
         y = BGE(2.0, 1.5, 1.0, 2.0).sample(63, np.random.default_rng(5)).values
@@ -450,11 +445,12 @@ class TestFit:
         assert fit.params.lam == pytest.approx(2.6105, rel=0.01)
 
     def test_submodels_pin_parameters_at_one(self, glass_fibre):
-        assert fit_mle(glass_fibre, "ge", compute_covariance=False).params.is_ge
+        ge_fit = fit_mle(glass_fibre, "ge", compute_covariance=False).params
+        assert (ge_fit.a, ge_fit.b) == (1.0, 1.0)
         assert fit_mle(glass_fibre, "be", compute_covariance=False).params.alpha == 1.0
         assert fit_mle(glass_fibre, "dge", compute_covariance=False).params.a == 1.0
         exp_fit = fit_mle(glass_fibre, "exp", compute_covariance=False).params
-        assert exp_fit.is_exponential
+        assert exp_fit == BGE.exponential(exp_fit.lam)
 
     def test_dge_recovers_simulated_data(self):
         true = BGE.dge(2.0, 1.0, 1.5)
