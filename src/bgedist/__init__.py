@@ -30,8 +30,8 @@ _LAZY = {
     "inference": ("FitResult", "InfoMatrix", "LrTestResult", "ScoreVector",
                   "confidence_intervals", "fit_mle", "information_matrix",
                   "log_likelihood", "lr_test", "score", "t_expectation"),
-    "order_stats": ("MixtureTermBudget", "OrderStatIndex", "order_stat_mgf",
-                    "order_stat_moment", "order_stat_pdf_direct", "order_stat_pdf_mixture"),
+    "order_stats": ("OrderStatIndex", "order_stat_mgf", "order_stat_moment",
+                    "order_stat_pdf_direct", "order_stat_pdf_mixture"),
     "series": ("MomentSet", "cdf_series", "closed_form_cdf_integer", "mgf",
                "moment_set", "pdf_mixture", "raw_moment", "shannon_entropy",
                "skewness_kurtosis"),

@@ -173,7 +173,11 @@ def cmd_sample(args, out) -> int:
     if args.seed is None:
         raise UsageError("sample requires an explicit --seed")
     dist = _parse_params(args.params)
-    draws = dist.sample(args.n, np.random.default_rng(args.seed))
+    try:
+        draws = dist.sample(args.n, np.random.default_rng(args.seed))
+    except ValueError as exc:  # a draw that underflowed to 0 (small a, b)
+        print(f"non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NOCONV
     for v in draws.values:
         print(f"{v:.17g}", file=out)
     return EXIT_OK

@@ -6,7 +6,9 @@ expansions rewrite the order-statistic density as a signed combination
 of BGE densities with shifted first shape parameter a*(k+i) + sum(m).
 The printed form of their coefficients does not reduce correctly in
 edge cases; the shifted form used here agrees with the direct formula
-(see errata.json at the repository root).
+(see errata.json at the repository root).  One sum over the total
+degree of the multi-index, weighted from powers of the coefficients'
+generating function, serves integer and real b alike (``_mixture_sum``).
 
 Moments are expectations over the latent Beta(a, b) variate, summed in
 log space by the tanh-sinh rule that the expected information uses
@@ -19,18 +21,18 @@ placed on the x axis, so ``scipy.integrate`` is not loaded.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import specfun
 from .distribution import (_TS_FAIL_RTOL, BGE, _log_beta_cdf_pair, _log_latent_transform,
                            _tanh_sinh_log_integral)
-from .series import mgf, raw_moment
+from .series import _cancellation_guard, _coefficients, mgf, raw_moment
 
 __all__ = [
     "OrderStatIndex",
-    "MixtureTermBudget",
     "MixtureBudgetError",
     "order_stat_pdf_direct",
     "order_stat_pdf_mixture",
@@ -39,7 +41,8 @@ __all__ = [
 ]
 
 class MixtureBudgetError(RuntimeError):
-    """Raised when the multi-index truncation budget is exhausted."""
+    """Raised when a mixture sum reaches ``per_index_cap`` before its
+    degree shells fall below tolerance."""
 
     def __init__(self, message: str, partial: float, terms: int):
         super().__init__(message)
@@ -59,34 +62,11 @@ class OrderStatIndex:
             raise ValueError(f"order statistic requires 1 <= i <= n, got i={self.i}, n={self.n}")
 
 
-@dataclass(frozen=True)
-class MixtureTermBudget:
-    """Truncation caps for the real-b multi-index mixture sums."""
-
-    per_index_cap: int = 25
-    total_term_cap: int = 200_000
-
-    def __post_init__(self):
-        if self.per_index_cap < 1 or self.total_term_cap < 1:
-            raise ValueError("mixture budget caps must be >= 1")
-
-
-DEFAULT_BUDGET = MixtureTermBudget()
-
-#: The real-b enumeration stops once two consecutive total-degree shells
-#: contribute less than this.  Unlike the series term tolerance it must
+#: A mixture sum whose generating function is cut at the cap stops once
+#: two consecutive total-degree shells contribute less than this.  Unlike the series term tolerance it must
 #: not be too small, because the coefficient shells decay only
 #: polynomially in the degree.
 _SHELL_TOL = 1e-9
-
-
-def _integer_b(b: float) -> int | None:
-    """b rounded to an integer if within 1e-9 of a positive one, else
-    None; such b takes the finite integer-b mixture sums."""
-    r = round(b)
-    if r >= 1 and abs(b - r) <= 1e-9:
-        return int(r)
-    return None
 
 
 def order_stat_pdf_direct(dist: BGE, idx: OrderStatIndex, x: float) -> float:
@@ -118,114 +98,71 @@ def _component_shape(a: float, alpha: float, i: int, k: int, msum: int) -> float
     return a * (k + i) + msum
 
 
-def _log_delta_common(dist: BGE, idx: OrderStatIndex, k: int, a_star: float) -> float:
-    i, n = idx.i, idx.n
-    return (math.log(math.comb(n - i, k))
-            + specfun.log_beta(a_star, dist.b)
-            - (k + i) * specfun.log_beta(dist.a, dist.b)
-            - specfun.log_beta(i, n - i + 1))
+def _mixture_sum(dist: BGE, idx: OrderStatIndex, evaluate, cap: int) -> float:
+    """Sum of delta * evaluate(component) over the mixture's multi-indices.
 
-
-def _mixture_terms_integer(dist: BGE, idx: OrderStatIndex, b_int: int, evaluate):
-    """Yield delta * evaluate(component) over the finite integer-b sums."""
-    a, alpha = dist.a, dist.alpha
-    i, n = idx.i, idx.n
-    for k in range(n - i + 1):
-        length = k + i - 1
-        for tup in itertools.product(range(b_int), repeat=length):
-            msum = sum(tup)
-            a_star = _component_shape(a, alpha, i, k, msum)
-            logd = _log_delta_common(dist, idx, k, a_star)
-            for m in tup:
-                logd += math.log(math.comb(b_int - 1, m)) - math.log(a + m)
-            sign = 1.0 if (k + msum) % 2 == 0 else -1.0
-            comp = BGE(a_star, float(b_int), dist.lam, dist.alpha)
-            yield sign * math.exp(logd) * evaluate(comp)
-
-
-def _compositions(total: int, length: int, cap: int):
-    """All tuples of `length` ints in [0, cap] summing to `total`."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(min(total, cap) + 1):
-        for rest in _compositions(total - head, length - 1, cap):
-            yield (head,) + rest
-
-
-def _mixture_sum_real(dist: BGE, idx: OrderStatIndex, budget: MixtureTermBudget,
-                      evaluate) -> float:
-    """Real non-integer b: enumerate multi-indices by total degree."""
+    A multi-index (m_1, ..., m_{k+i-1}) weighs prod c_m / (a + m), with
+    c_m = (-1)^m Gamma(b) / (Gamma(b-m) m!), and its component depends
+    on it only through d = sum(m): so one component per d, weighted by
+    the z^d coefficient of W(z)^(k+i-1), W(z) = sum_{m <= cap} c_m z^m /
+    (a + m).  At integer b <= cap + 1, c_m = 0 from m = b on and every
+    degree is summed (the paper's finite sum).  Where W is cut at the
+    cap, a k stops after two degree shells below ``_SHELL_TOL`` in a row
+    and raises ``MixtureBudgetError`` if its degrees run out first.  The
+    cancellation guard takes the largest shell magnitude, |W|^(k+i-1)
+    times |evaluate|.
+    """
+    if cap < 1:
+        raise ValueError(f"per_index_cap must be >= 1, got {cap}")
     a, b, alpha = dist.a, dist.b, dist.alpha
     i, n = idx.i, idx.n
-    total = 0.0
-    terms_used = 0
+    coef = _coefficients(b, np.arange(cap + 2.0), 1.0)
+    w = np.trim_zeros(coef[:-1] / (a + np.arange(cap + 1.0)), "b")
+    total = peak = 0.0
     for k in range(n - i + 1):
-        length = k + i - 1
-        part = 0.0
+        log_k = (math.log(math.comb(n - i, k)) - (k + i) * specfun.log_beta(a, b)
+                 - specfun.log_beta(i, n - i + 1))
+        power, size = np.ones(1), np.ones(1)
+        for _ in range(k + i - 1):
+            power, size = np.convolve(power, w), np.convolve(size, np.abs(w))
+        capped = coef[-1] != 0.0 and k + i > 1  # W^(k+i-1) is cut at the cap
         small_shells = 0
-        done = False
-        for degree in range(length * budget.per_index_cap + 1):
-            shell = 0.0
-            for tup in _compositions(degree, length, budget.per_index_cap):
-                msum = degree
-                a_star = _component_shape(a, alpha, i, k, msum)
-                logd = _log_delta_common(dist, idx, k, a_star) + (k + i - 1) * math.lgamma(b)
-                sign = 1.0 if (k + msum) % 2 == 0 else -1.0
-                for m in tup:
-                    logd -= math.lgamma(b - m) + math.lgamma(m + 1) + math.log(a + m)
-                    if b - m < 0:
-                        sign *= 1.0 if math.floor(b - m) % 2 == 0 else -1.0
-                comp = BGE(a_star, b, dist.lam, dist.alpha)
-                shell += sign * math.exp(logd) * evaluate(comp)
-                terms_used += 1
-                if terms_used > budget.total_term_cap:
-                    raise MixtureBudgetError(
-                        f"mixture total_term_cap={budget.total_term_cap} exhausted "
-                        f"(partial sum {total + part + shell:.6g})",
-                        partial=total + part + shell, terms=terms_used)
-            part += shell
-            if length == 0:
-                done = True
-                break
-            if abs(shell) < _SHELL_TOL:
-                small_shells += 1
-                if small_shells >= 2:
-                    done = True
+        for d, (p, s) in enumerate(zip(power.tolist(), size.tolist())):
+            a_star = _component_shape(a, alpha, i, k, d)
+            delta = math.exp(log_k + specfun.log_beta(a_star, b))
+            value = evaluate(BGE(a_star, b, dist.lam, alpha))
+            shell = (-1) ** k * p * delta * value
+            total += shell
+            peak = max(peak, s * delta * abs(value))
+            if capped:
+                small_shells = small_shells + 1 if abs(shell) < _SHELL_TOL else 0
+                if small_shells == 2:
                     break
-            else:
-                small_shells = 0
-        if not done and length > 0:
-            raise MixtureBudgetError(
-                f"mixture per_index_cap={budget.per_index_cap} exhausted for k={k} "
-                f"(partial sum {total + part:.6g})",
-                partial=total + part, terms=terms_used)
-        total += part
+        else:
+            if capped:
+                raise MixtureBudgetError(
+                    f"mixture per_index_cap={cap} exhausted for k={k} "
+                    f"(partial sum {total:.6g})", partial=total, terms=len(power))
+    _cancellation_guard(total, peak, f"order-statistic {i}:{n} mixture")
     return total
 
 
-def _mixture_value(dist: BGE, idx: OrderStatIndex, evaluate,
-                   budget: MixtureTermBudget) -> float:
-    b_int = _integer_b(dist.b)
-    if b_int is not None:
-        return math.fsum(_mixture_terms_integer(dist, idx, b_int, evaluate))
-    return _mixture_sum_real(dist, idx, budget, evaluate)
-
-
 def order_stat_pdf_mixture(dist: BGE, idx: OrderStatIndex, x: float,
-                           budget: MixtureTermBudget = DEFAULT_BUDGET) -> float:
+                           per_index_cap: int = 25) -> float:
     """Order-statistic density by the delta-weighted component expansion,
     with the shifted component shapes validated against the direct
-    formula."""
+    formula.  ``per_index_cap`` bounds each index of the multi-index
+    sum; ``MixtureBudgetError`` is raised if the sum has not converged
+    within it, ``SeriesConvergenceError`` if its alternating terms cancel
+    beyond double precision (as at large b)."""
     if x <= 0.0:
         raise ValueError(f"order_stat_pdf_mixture requires x > 0, got {x}")
-    return _mixture_value(dist, idx, lambda comp: comp.pdf(x), budget)
+    return _mixture_sum(dist, idx, lambda comp: comp.pdf(x), per_index_cap)
 
 
 def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int,
                       method: str = "quadrature",
-                      budget: MixtureTermBudget = DEFAULT_BUDGET) -> float:
+                      per_index_cap: int = 25) -> float:
     """E[X_{i:n}^r] for r in 1..4.
 
     "quadrature" (default) takes the moment as an expectation over the
@@ -238,12 +175,14 @@ def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int,
     step halves, up to 6 times, until two levels agree to 1e-12
     relative, and a last difference above 1e-8 relative raises
     ``RuntimeError``.  "mixture" combines component raw moments with the
-    delta weights and exists for expansion fidelity checks.
+    delta weights and exists for expansion fidelity checks; it takes
+    ``per_index_cap`` and raises ``MixtureBudgetError`` or
+    ``SeriesConvergenceError`` as ``order_stat_pdf_mixture`` does.
     """
     if r not in (1, 2, 3, 4):
         raise ValueError(f"order_stat_moment supports r in 1..4, got {r}")
     if method == "mixture":
-        return _mixture_value(dist, idx, lambda comp: raw_moment(comp, r), budget)
+        return _mixture_sum(dist, idx, lambda comp: raw_moment(comp, r), per_index_cap)
     if method != "quadrature":
         raise ValueError(f"method must be 'quadrature' or 'mixture', got {method!r}")
     a, b, alpha = dist.a, dist.b, dist.alpha
@@ -272,8 +211,10 @@ def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int,
 
 
 def order_stat_mgf(dist: BGE, idx: OrderStatIndex, t: float,
-                   budget: MixtureTermBudget = DEFAULT_BUDGET) -> float:
-    """Mgf of X_{i:n} at t < lam as a delta-weighted sum of component mgfs."""
+                   per_index_cap: int = 25) -> float:
+    """Mgf of X_{i:n} at t < lam as a delta-weighted sum of component mgfs
+    (the paper's series); ``per_index_cap``, ``MixtureBudgetError`` and
+    ``SeriesConvergenceError`` are as in ``order_stat_pdf_mixture``."""
     if not (t < dist.lam):
         raise ValueError(f"order_stat_mgf requires t < lam = {dist.lam}, got t = {t}")
-    return _mixture_value(dist, idx, lambda comp: mgf(comp, t), budget)
+    return _mixture_sum(dist, idx, lambda comp: mgf(comp, t), per_index_cap)

@@ -22,8 +22,7 @@ from bgedist.cli import main as cli_main
 from bgedist.datasets import GLASS_FIBRE_TOLERANCES as TOL, glass_fibre_sample
 from bgedist.inference import (fit_mle, information_matrix, lr_from_fits,
                                log_likelihood, score)
-from bgedist.order_stats import (MixtureTermBudget, OrderStatIndex,
-                                 order_stat_pdf_direct, order_stat_pdf_mixture)
+from bgedist.order_stats import OrderStatIndex, order_stat_pdf_direct, order_stat_pdf_mixture
 from bgedist.series import cdf_series, mgf, pdf_mixture, raw_moment, skewness_kurtosis
 
 from conftest import ACCEPTANCE_RESULTS, mc_expected_information
@@ -280,7 +279,6 @@ class TestOrderStatisticsSuite:
     def test_mixture_reconciliation(self):
         # the adjudicated (shifted) component shapes agree with the direct
         # density; the report is emitted by tests/test_order_stats.py
-        budget = MixtureTermBudget(per_index_cap=60, total_term_cap=500_000)
         cases = [(BGE(1.0, 2.0, 1.0, 1.0), 1, 2, 0.5),
                  (BGE(1.7, 3.0, 1.2, 1.4), 2, 3, 0.9),
                  (BGE(1.5, 2.5, 1.0, 1.2), 2, 3, 1.0),
@@ -289,7 +287,7 @@ class TestOrderStatisticsSuite:
         for d, i, n, x in cases:
             idx = OrderStatIndex(i, n)
             direct = order_stat_pdf_direct(d, idx, x)
-            got = order_stat_pdf_mixture(d, idx, x, budget=budget)
+            got = order_stat_pdf_mixture(d, idx, x, per_index_cap=60)
             worst = max(worst, abs(got - direct) / direct)
         _record("order statistics: mixture reconciliation (validated reading)",
                 worst <= 1e-4, f"worst rel err {worst:.2g} (shifted reading)")

@@ -214,6 +214,15 @@ class TestSampleCommand:
         code, _ = run_cli("sample", "--params", "0,1,1,1", "--n", "5", "--seed", "1")
         assert code == EXIT_USAGE
 
+    def test_underflowed_draw_exit_code(self, capsys):
+        # at a = b = 0.02 a draw underflows to 0.0, which is no valid
+        # observation: one stderr line and exit code 3, not a traceback
+        code, text = run_cli("sample", "--params", "0.02,0.02,1,0.5", "--n", "20000",
+                             "--seed", "1")
+        assert code == EXIT_NOCONV and text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("non-convergence: ")
+
 
 class TestCurveCommand:
     def test_exponential_hazard_constant(self):

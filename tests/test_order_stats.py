@@ -11,14 +11,14 @@ import pytest
 from scipy.integrate import quad
 
 from bgedist import BGE, order_stats
-from bgedist.order_stats import (MixtureBudgetError, MixtureTermBudget, OrderStatIndex,
+from bgedist.order_stats import (MixtureBudgetError, OrderStatIndex,
                                  order_stat_mgf, order_stat_moment,
                                  order_stat_pdf_direct, order_stat_pdf_mixture)
-from bgedist.series import mgf, raw_moment
+from bgedist.series import SeriesConvergenceError, mgf, raw_moment
 
 REPORT_PATH = pathlib.Path(__file__).resolve().parent.parent / "reports" / "order_stat_reconciliation.txt"
 
-WIDE_BUDGET = MixtureTermBudget(per_index_cap=60, total_term_cap=500_000)
+WIDE_CAP = 60
 
 #: Readings of the mixture component shape, swapped into
 #: ``order_stats._component_shape``.  "shifted" is the library's
@@ -48,7 +48,8 @@ class TestIndexTypes:
         with pytest.raises(ValueError):
             OrderStatIndex(4, 3)
         with pytest.raises(ValueError):
-            MixtureTermBudget(per_index_cap=0)
+            order_stat_pdf_mixture(BGE(1.5, 2.5, 1.0, 1.2), OrderStatIndex(2, 3), 1.0,
+                                   per_index_cap=0)
 
 
 class TestDirect:
@@ -109,12 +110,15 @@ class TestMixture:
             assert order_stat_pdf_mixture(d, OrderStatIndex(1, 1), x) == pytest.approx(
                 d.pdf(x), rel=1e-11)
 
-    def test_integer_dispatch_rule(self):
-        assert order_stats._integer_b(3.0) == 3
-        assert order_stats._integer_b(3.0 + 5e-10) == 3
-        assert order_stats._integer_b(3.0 + 5e-9) is None
-        assert order_stats._integer_b(2.5) is None
-        assert order_stats._integer_b(0.3) is None  # rounds to 0, not a valid branch
+    @pytest.mark.parametrize("b", [3.0 - 5e-10, 3.0 + 5e-10])
+    def test_near_integer_b(self, b):
+        # b is not rounded to the integer: the c_m past b are ~1e-10,
+        # not 0, and the shells they feed are summed like any real b's
+        d = BGE(1.7, b, 1.2, 1.4)
+        for i in (2, 1):
+            idx = OrderStatIndex(i, 3)
+            assert order_stat_pdf_mixture(d, idx, 0.9) == pytest.approx(
+                order_stat_pdf_direct(d, idx, 0.9), rel=1e-10)
 
     def test_integer_b_small_instance(self):
         d = BGE(1.0, 2.0, 1.0, 1.0)
@@ -127,14 +131,21 @@ class TestMixture:
         d = BGE(1.5, 2.5, 1.0, 1.2)
         idx = OrderStatIndex(2, 3)
         want = order_stat_pdf_direct(d, idx, 1.0)
-        got = order_stat_pdf_mixture(d, idx, 1.0, budget=WIDE_BUDGET)
+        got = order_stat_pdf_mixture(d, idx, 1.0, per_index_cap=WIDE_CAP)
         assert got == pytest.approx(want, rel=1e-4)
 
     def test_budget_signal(self):
         d = BGE(1.5, 2.5, 1.0, 1.2)
         with pytest.raises(MixtureBudgetError):
-            order_stat_pdf_mixture(d, OrderStatIndex(2, 3), 1.0,
-                                   budget=MixtureTermBudget(per_index_cap=2, total_term_cap=4))
+            order_stat_pdf_mixture(d, OrderStatIndex(2, 3), 1.0, per_index_cap=2)
+
+    @pytest.mark.parametrize("i, n", [(1, 3), (2, 4)])
+    def test_cancelled_sum_raises(self, i, n):
+        # at b = 10, x = 1 the shells alternate with a peak 1e12 to 1e14
+        # times the sum; summed anyway, 1:3 was 1.35e-3 and 2:4 82 % off
+        # the direct value
+        with pytest.raises(SeriesConvergenceError, match="cancellation"):
+            order_stat_pdf_mixture(BGE(2.0, 10.0, 1.0, 1.0), OrderStatIndex(i, n), 1.0)
 
     def test_printed_reading_fails_unit_reduction(self, monkeypatch):
         # the published coefficient form does not reduce to the parent
@@ -266,9 +277,8 @@ class TestMgf:
     def test_normalization_at_zero_real_b(self):
         # polynomially decaying coefficient shells: needs the wide caps
         d = BGE(1.5, 2.5, 1.0, 1.2)
-        budget = MixtureTermBudget(per_index_cap=220, total_term_cap=500_000)
         assert order_stat_mgf(d, OrderStatIndex(1, 2), 0.0,
-                              budget=budget) == pytest.approx(1.0, abs=1e-6)
+                              per_index_cap=220) == pytest.approx(1.0, abs=1e-6)
 
     def test_against_quadrature(self):
         d = BGE(1.0, 2.0, 1.0, 1.0)
@@ -307,7 +317,7 @@ class TestReconciliationReport:
             for reading, shape in READINGS.items():
                 monkeypatch.setattr(order_stats, "_component_shape", shape)
                 try:
-                    val = order_stat_pdf_mixture(dist, idx, x, budget=WIDE_BUDGET)
+                    val = order_stat_pdf_mixture(dist, idx, x, per_index_cap=WIDE_CAP)
                     rel = abs(val - direct) / direct
                 except (MixtureBudgetError, OverflowError) as exc:
                     val, rel = float("nan"), float("inf")
