@@ -9,9 +9,10 @@ where ``I`` is the regularized incomplete beta ratio, taken from
 whichever of G and 1 - G is at most 1/2 (``_beta_tail``).  Its
 complement is 1 - I where I <= 1/2, the mirror ratio at 1 - G or G
 where that is at least 1/4, and ``betaincc``, 2-12 times the cost of
-``betainc``, only for the rest (``_beta_complement``).  Instances are
-immutable value objects and safe to share between threads; sampling
-mutates only the caller-supplied generator.
+``betainc``, only for the rest (``_beta_complement``).  ``_log_density``
+alone decides the transform's far tail, where 1 - e^(-lam*x) rounds to
+1.  Instances are immutable value objects and safe to share between
+threads; sampling mutates only the caller-supplied generator.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ _LOG2 = 0.6931471805599453
 #: The argument types that take the ``math`` path; float first, as the
 #: common case, which isinstance then matches about 30 ns sooner.
 _SCALAR = (float, int)
-_LOGU_CLAMP = -1e-300  # keeps log u strictly negative when u rounds to 1
 
 
 def log1mexp(z):
@@ -73,29 +73,41 @@ def _log_density(params, log_norm, x):
 
     ``params`` is (a, b, lam, alpha) and ``log_norm`` is ``_log_norm`` of
     them: floats, or (rows, 1) columns with x broadcast to (rows, n).
-    Returns (log f, z, log u, log u^alpha, log(1 - u^alpha)) with
-    z = lam x and u = 1 - e^-z; log u is kept strictly negative even
-    when u rounds to 1, so that 1 - u^alpha stays positive.  A float x
-    stays in the ``math`` module.
+    Returns (log f, z, log u, log u^alpha, log(1 - u^alpha), log(-log u))
+    with z = lam x and u = 1 - e^-z.  It is the one rule for the
+    transform's far tail, where -log u < 1e-300, log u being -e^-z to
+    rounding (0 past z = 745): there log(-log u) = -z and
+    log(1 - u^alpha) = log alpha - z, to O(e^-z), and log f sums
+    -z + (b - 1)(log alpha - z) as (b - 1) log alpha - b z, which does
+    not cancel.  A float x stays in the ``math`` module.
     """
     a, b, lam, alpha = params
     z = lam * x
-    if isinstance(x, _SCALAR):
-        logu = min(log1mexp(z), _LOGU_CLAMP)
-    else:
-        logu = np.minimum(log1mexp(z), _LOGU_CLAMP)
-    alogu = alpha * logu
-    log1mua = log1mexp(-alogu)
-    return (log_norm - z + (alpha * a - 1.0) * logu + (b - 1.0) * log1mua,
-            z, logu, alogu, log1mua)
+    logu = log1mexp(z)
+    if isinstance(z, float):
+        if logu > -1e-300:
+            log_alpha = math.log(alpha)
+            return ((b - 1.0) * log_alpha - b * z + log_norm + (alpha * a - 1.0) * logu,
+                    z, logu, alpha * logu, log_alpha - z, -z)
+        log1mua = log1mexp(-alpha * logu)
+        return (log_norm - z + (alpha * a - 1.0) * logu + (b - 1.0) * log1mua,
+                z, logu, alpha * logu, log1mua, math.log(-logu))
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0, inf - inf: far, replaced below
+        loglogu, log1mua = np.log(-logu), log1mexp(-alpha * logu)
+        logf = log_norm - z + (alpha * a - 1.0) * logu + (b - 1.0) * log1mua
+    far = logu > -1e-300
+    if far.any():  # np.where only then: logpdf arrays seldom reach it
+        log_alpha = np.log(alpha)
+        logf = np.where(far, (b - 1.0) * log_alpha - b * z + log_norm + (alpha * a - 1.0) * logu, logf)
+        loglogu, log1mua = np.where(far, -z, loglogu), np.where(far, log_alpha - z, log1mua)
+    return logf, z, logu, alpha * logu, log1mua, loglogu
 
 
-#: Below e^-690 (about 1e-300) the small beta-cdf argument is treated as
-#: underflowed: its series is then exact to double precision in the
-#: leading term.
+#: Below e^-690 (about 1e-300) the small beta-cdf argument counts as
+#: underflowed: the leading term of its series is then exact to rounding.
 _LOG_TINY = -690.0
-#: log of the smallest normal double.
-_LOG_DBL_MIN = math.log(sys.float_info.min)
+_DBL_MIN = sys.float_info.min
+_LOG_DBL_MIN = math.log(_DBL_MIN)
 
 
 class _Lazy:
@@ -145,23 +157,21 @@ def _beta_complement(p, q, x, s):
 
 
 def _beta_tail(a: float, b: float, log_beta_ab: float, log_g: float,
-               upper: bool = False) -> float:
+               upper: bool = False, log_1mg: float = -math.inf) -> float:
     """I_G(a, b) at G = e^log_g <= 1, or 1 - I_G(a, b) when ``upper``.
 
-    The side rule: s = ``betainc`` is taken at (a, b, G) when G <= 1/2
-    and at (b, a, 1 - G) otherwise, with 1 - G = -expm1(log_g), so that
-    neither tail rounds to 0 or 1.  The other side is
-    ``_beta_complement`` of s: 1 - s where s <= 1/2, ``betainc`` at the
-    mirror argument where the small one is at least 1/4, both as
-    accurate as s, and the costlier ``betaincc`` only for the rest.  Where the
-    small argument x is below e^``_LOG_TINY``, s is the leading term
+    The side rule: s = ``betainc`` at (a, b, G) when G <= 1/2 and at
+    (b, a, 1 - G) otherwise, with 1 - G = -expm1(log_g), so that neither
+    tail rounds to 0 or 1; where 1 - G has left the normal range, its log
+    is the caller's ``log_1mg``, from ``_log_density``.  Where the small
+    argument x is below e^``_LOG_TINY``, s is the leading term
     x^p / (p B(a, b)) of its series, p being x's shape, and its
-    complement 1 - s.
+    complement 1 - s; elsewhere the complement is ``_beta_complement``.
     """
     g = math.exp(log_g)
     if g > 0.5:
         a, b, g, upper = b, a, -math.expm1(log_g), not upper
-        log_g = math.log(g) if g > 0.0 else -math.inf
+        log_g = math.log(g) if g >= _DBL_MIN else log_1mg
     if log_g < _LOG_TINY:
         s = math.exp(a * log_g - math.log(a) - log_beta_ab)
         return 1.0 - s if upper else s
@@ -169,25 +179,34 @@ def _beta_tail(a: float, b: float, log_beta_ab: float, log_g: float,
     return _beta_complement(a, b, g, s) if upper else s
 
 
-def _beta_tail_array(a: float, b: float, log_beta_ab: float, log_g, upper: bool) -> np.ndarray:
-    """``_beta_tail`` over an array of log G, step for step in numpy:
-    ``betainc`` on every element, and ``_beta_complement`` on those
-    whose complement is asked for, so ``betaincc`` runs only where s > 1/2
-    at a small argument below 1/4.
+def _beta_tail_array(a: float, b: float, log_beta_ab: float, logv, log1mv, upper=None):
+    """``_beta_tail`` over arrays of log v and log(1 - v): I_v(a, b), or
+    1 - I_v(a, b) when ``upper``; with ``upper=None``, the rows log I_v(a, b)
+    and log(1 - I_v(a, b)), which hold a leading term below the double range.
 
-    ``_log_beta_cdf_pair`` takes the same side rule in log space, where
-    the leading term may lie below the double range."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.exp(log_g)
-        swap = g > 0.5
-        x = np.where(swap, -np.expm1(log_g), g)
-        log_x = np.where(swap, np.log(x), log_g)
+    The small argument's log is log v or the caller's log(1 - v), which
+    alone carries 1 - v past the normal range.  The values take 1 - v as
+    -expm1(log v), as the float rule does; the pair, whose callers hold
+    exact logs (the tanh-sinh nodes), takes e^(log(1 - v)).
+    ``_beta_complement`` runs only where the other side is asked for.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = np.exp(logv)
+        swap = v > 0.5
+        log_x = np.where(swap, log1mv, logv)
+        x = np.exp(log_x) if upper is None else np.where(swap, -np.expm1(logv), v)
         p, q = np.where(swap, b, a), np.where(swap, a, b)
         tiny = log_x < _LOG_TINY
-        s = np.where(tiny, np.exp(p * log_x - np.log(p) - log_beta_ab), _ufuncs.betainc(p, q, x))
+        lead = p * log_x - np.log(p) - log_beta_ab
+        s = np.where(tiny, np.exp(lead), _ufuncs.betainc(p, q, x))
+        if upper is None:
+            small, large = np.where(tiny, lead, np.log(s)), np.log1p(-s)
+            big = (s > 0.5) & ~tiny
+            large[big] = np.log(_beta_complement(p[big], q[big], x[big], s[big]))
+            return np.where(swap, large, small), np.where(swap, small, large)
         comp = swap != upper
         out = np.where(comp, 1.0 - s, s)
-        comp = comp & ~tiny
+        comp &= ~tiny
         out[comp] = _beta_complement(p[comp], q[comp], x[comp], s[comp])
     return out
 
@@ -218,31 +237,6 @@ def _refine_beta_cdf_root(a: float, b: float, log_beta_ab: float, log_g: float,
             break
         log_g -= resid / slope
     return log_g
-
-
-def _log_beta_cdf_pair(a: float, b: float, log_beta_ab: float, logv, log1mv):
-    """Rows log I_v(a, b) and log(1 - I_v(a, b)) over arrays of log v and
-    log(1 - v), by the side rule of ``_beta_tail`` in log space.
-
-    The side s of the small argument x is ``betainc``; the other side is
-    log1p(-s), exact to rounding while s <= 1/2, and above that the log
-    of ``_beta_complement``: ``betainc`` at 1 - x where x >= 1/4, and
-    the costlier ``betaincc`` only below.  Where x underflows, s is the
-    leading term x^p / (p B(a, b)) of its series: ``betainc`` and
-    ``betaincc`` would give 0 and 1 there."""
-    low = logv <= log1mv                     # v <= 1/2
-    logx = np.where(low, logv, log1mv)
-    p, q = np.where(low, a, b), np.where(low, b, a)
-    tiny = logx < _LOG_TINY
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lead = p * logx - np.log(p) - log_beta_ab
-        x = np.exp(logx)
-        s = np.where(tiny, np.exp(lead), _ufuncs.betainc(p, q, x))
-        small = np.where(tiny, lead, np.log(s))
-        large = np.log1p(-s)
-        big = (s > 0.5) & ~tiny
-        large[big] = np.log(_beta_complement(p[big], q[big], x[big], s[big]))
-    return np.where(low, small, large), np.where(low, large, small)
 
 
 #: tanh-sinh rule v = (1 + tanh(pi/2 sinh t)) / 2 on t in [-8, 8]: the
@@ -446,18 +440,24 @@ class BGE:
 
         At the origin the density is defined by its limit: 0 when
         alpha*a > 1, alpha*lam/B(a, b) when alpha*a == 1, and +inf
-        (an explicit unbounded marker) when alpha*a < 1.  An array is
-        taken elementwise; a negative element raises ``ValueError``
-        naming the first one.
+        (an explicit unbounded marker) when alpha*a < 1, as is a density
+        above the double range near it.  An array is taken elementwise;
+        a negative element raises ``ValueError`` naming the first one.
         """
         if isinstance(x, _SCALAR):
             if x < 0.0:
                 raise ValueError(f"pdf requires x >= 0, got {x}")
-            return self._pdf_at_origin() if x == 0.0 else math.exp(self.logpdf(x))
+            if x == 0.0:
+                return self._pdf_at_origin()
+            log_f = _log_density((self.a, self.b, self.lam, self.alpha), self._log_norm_const, x)[0]
+            try:
+                return math.exp(log_f)
+            except OverflowError:
+                return math.inf
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0):
             raise ValueError(f"pdf requires x >= 0, got {x[x < 0.0][0]}")
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             f = np.exp(_log_density(self.params_tuple(), self._log_norm_const, x)[0])
         return _as_float_if_0d(np.where(x == 0.0, self._pdf_at_origin(), f))
 
@@ -472,50 +472,49 @@ class BGE:
     def cdf(self, x):
         """Distribution function I_G(a, b) at G = (1 - e^(-lam x))^alpha;
         0 for x <= 0 (vectorized)."""
-        if isinstance(x, _SCALAR):
-            if x <= 0.0:
-                return 0.0
-            return _beta_tail(self.a, self.b, self.log_beta_ab, self.alpha * log1mexp(self.lam * x))
-        x = np.asarray(x, dtype=float)
-        f = _beta_tail_array(self.a, self.b, self.log_beta_ab,
-                             self.alpha * log1mexp(self.lam * x), False)
-        return _as_float_if_0d(np.where(x <= 0.0, 0.0, f))
+        return self._beta_tail_at(x, False)
 
     def survival(self, x):
         """Survival function 1 - I_G(a, b), taken from the small side
         rather than as 1 - cdf, for tail accuracy; 1 for x <= 0
         (vectorized)."""
+        return self._beta_tail_at(x, True)
+
+    def _beta_tail_at(self, x, upper: bool):
+        """The body of ``cdf`` and, with ``upper``, ``survival``: the side rule
+        at log G, with log(1 - G) from ``_log_density`` where 1 - G < _DBL_MIN."""
         if isinstance(x, _SCALAR):
             if x <= 0.0:
-                return 1.0
-            return _beta_tail(self.a, self.b, self.log_beta_ab,
-                              self.alpha * log1mexp(self.lam * x), upper=True)
+                return float(upper)
+            log_g = self.alpha * log1mexp(self.lam * x)
+            if log_g > -_DBL_MIN:  # so 1 - G = -expm1(log_g) < _DBL_MIN
+                return _beta_tail(self.a, self.b, self.log_beta_ab, log_g, upper,
+                                  _log_density(self.params_tuple(), 0.0, x)[4])
+            return _beta_tail(self.a, self.b, self.log_beta_ab, log_g, upper)
         x = np.asarray(x, dtype=float)
-        s = _beta_tail_array(self.a, self.b, self.log_beta_ab,
-                             self.alpha * log1mexp(self.lam * x), True)
-        return _as_float_if_0d(np.where(x <= 0.0, 1.0, s))
+        log_g = self.alpha * log1mexp(self.lam * x)
+        with np.errstate(divide="ignore"):
+            log_1mg = np.log(-np.expm1(log_g))
+            past = log_1mg < _LOG_DBL_MIN
+            if past.any():
+                log_1mg[past] = _log_density(self.params_tuple(), 0.0, x[past])[4]
+        out = _beta_tail_array(self.a, self.b, self.log_beta_ab, log_g, log_1mg, upper)
+        return _as_float_if_0d(np.where(x <= 0.0, float(upper), out))
 
     def hazard(self, x):
         """Hazard rate pdf(x)/survival(x) for x > 0 (vectorized).
 
         Raises ``ValueError`` at x <= 0 and ``OverflowError`` where the
-        survival underflows to 0; an array raises at its first such
-        element.
+        survival is 0: below the double range, or subnormal and flushed to
+        0 by ``betainc``; an array raises at its first such element.
         """
-        if isinstance(x, _SCALAR):
-            if x <= 0.0:
-                raise ValueError(f"hazard requires x > 0, got {x}")
-            s = self.survival(x)
-            if s == 0.0:
-                raise OverflowError(f"survival underflowed to 0 at x={x}; "
-                                    "hazard is not representable")
-            params = (self.a, self.b, self.lam, self.alpha)
-            return math.exp(_log_density(params, self._log_norm_const, x)[0]) / s
-        x = np.asarray(x, dtype=float)
+        scalar = isinstance(x, _SCALAR)
+        if not scalar:
+            x = np.asarray(x, dtype=float)
         s = self.survival(x)
         bad = (x <= 0.0) | (s == 0.0)
-        if np.any(bad):
-            first = float(x[bad][0])
+        if bad if scalar else np.any(bad):
+            first = x if scalar else float(x[bad][0])
             if first <= 0.0:
                 raise ValueError(f"hazard requires x > 0, got {first}")
             raise OverflowError(f"survival underflowed to 0 at x={first}; "

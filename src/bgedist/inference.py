@@ -82,13 +82,13 @@ def _loglik_score_hessian(theta: np.ndarray, y: np.ndarray, logy: np.ndarray):
     M = log(1 - u^alpha) and r = u^alpha/(1 - u^alpha), the second
     derivatives need r(1 + r) = u^alpha/(1 - u^alpha)^2, which overflows
     where u^alpha rounds near 1; it is only formed in log space, inside
-    its products with L^2, L L' and L'^2, which stay finite.
+    its products with L^2, L L' and L'^2, which stay finite.  log(-L) and
+    M are the log-density's, by its far-tail rule.
     """
     log_norm = np.array([[_log_norm(*row)] for row in theta.tolist()])
-    logf, z, logu, alogu, log1mua = _log_density(list(theta.T[:, :, None]), log_norm, y)
+    logf, z, logu, alogu, log1mua, log_mlogu = _log_density(list(theta.T[:, :, None]), log_norm, y)
     ll = logf.sum(axis=1)
 
-    log_mlogu = np.log(-logu)                       # log(-L)
     log_yu = logy - logu                            # log(y/u)
     log_dl = log_yu - z                             # log L'
     log_r = alogu - log1mua

@@ -15,7 +15,7 @@ log space by the tanh-sinh rule that the expected information uses
 (``distribution._tanh_sinh_log_integral``): halving the step until two
 levels agree to 1e-12 relative, and raising ``RuntimeError`` if the
 last two still differ by more than 1e-8.  I_V and 1 - I_V on the nodes
-come from ``distribution._log_beta_cdf_pair``.  No quadrature cut is
+come from ``distribution._beta_tail_array``.  No quadrature cut is
 placed on the x axis, so ``scipy.integrate`` is not loaded.
 """
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .distribution import (_TS_FAIL_RTOL, BGE, _log_beta_cdf_pair, _log_latent_transform,
+from .distribution import (_TS_FAIL_RTOL, BGE, _beta_tail_array, _log_latent_transform,
                            _tanh_sinh_log_integral)
 from .series import _cancellation_guard, _coefficients, mgf, raw_moment
 
@@ -194,7 +194,7 @@ def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int,
         _, log_lam_x = _log_latent_transform(logv, loglogv, alpha)
         lterm = logw + (a - 1.0) * logv + (b - 1.0) * log1mv + r * log_lam_x
         if n > 1:
-            log_cdf, log_sf = _log_beta_cdf_pair(a, b, log_beta_ab, logv, log1mv)
+            log_cdf, log_sf = _beta_tail_array(a, b, log_beta_ab, logv, log1mv)
             if i > 1:
                 lterm += (i - 1) * log_cdf
             if i < n:

@@ -7,8 +7,7 @@ from scipy import optimize, special, stats
 
 from bgedist import BGE, glass_fibre_sample
 from bgedist import specfun as sf
-from bgedist.distribution import (_LOGU_CLAMP, _TS_H0, _TS_LEVELS, _tanh_sinh_level,
-                                  log1mexp)
+from bgedist.distribution import _TS_H0, _TS_LEVELS, _tanh_sinh_level, log1mexp
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -26,8 +25,12 @@ def _ref_pieces(theta, y):
     """Shared stable intermediates for likelihood and score."""
     a, b, lam, alpha = theta
     z = lam * y
-    logu = np.minimum(log1mexp(z), _LOGU_CLAMP)
-    return z, logu, log1mexp(-alpha * logu)
+    logu = log1mexp(z)
+    # where -log u < 1e-300, log(1 - u^alpha) = log(alpha) + log(-log u)
+    # to rounding, and log(-log u) = -z
+    with np.errstate(divide="ignore"):
+        log1mua = np.where(logu > -1e-300, math.log(alpha) - z, log1mexp(-alpha * logu))
+    return z, logu, log1mua
 
 
 def _ref_score_contrib(theta, y):

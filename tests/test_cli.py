@@ -168,6 +168,15 @@ class TestCompareCommand:
                 ok += 1
         assert ok >= 90
 
+    def test_human_format(self, glass_file):
+        code, text = run_cli("compare", "--input", glass_file)
+        assert code == EXIT_NOCONV  # as in the structured output
+        blocks = text.split("\n\n")
+        assert [b.splitlines()[0] for b in blocks[:3]] == ["model: bge", "model: be", "model: ge"]
+        lr = [line for line in blocks[3].splitlines() if line.startswith("LR ")]
+        assert [line.split(":")[0] for line in lr] == ["LR be vs bge", "LR ge vs bge"]
+        assert text.rstrip().endswith("# non-converged fits: be, bge")
+
     def test_degenerate_input(self, tmp_path):
         p = tmp_path / "one.txt"
         p.write_text("1.5\n")
@@ -241,6 +250,15 @@ class TestCurveCommand:
         assert rows[0] == ["0", "1", "0", "nan"]
         assert [r[3] for r in rows[1:]] == ["1", "1", "inf", "inf"]
         assert [r[1] for r in rows[3:]] == ["0", "0"]
+
+    def test_hazard_past_the_double_range(self):
+        # BGE(1, 0.5, 1, 1) has pdf e^(-x/2) / 2 and survival e^(-x/2), so
+        # hazard 1/2, also where 1 - e^-x rounds to 1 (x > 37)
+        code, text = run_cli("curve", "--params", "1,0.5,1,1", "--grid", "680:760:5")
+        assert code == EXIT_OK
+        rows = [line.split("\t") for line in text.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["680", "700", "720", "740", "760"]
+        assert [r[3] for r in rows] == ["0.5"] * 5
 
     def test_pdf_column_integrates_to_one(self):
         code, text = run_cli("curve", "--params", "2,3,1,1.5", "--grid", "0.0001:12:4000")

@@ -18,7 +18,7 @@ mp.mp.dps = 40
 
 
 def log_u(dist, x):
-    """log(1 - e^(-lam x)), clamped below 0 as the log-density takes it."""
+    """log(1 - e^(-lam x)) as the log-density takes it."""
     return _log_density(dist.params_tuple(), 0.0, x)[2]
 
 
@@ -94,6 +94,17 @@ class TestPdf:
         for d in (BGE(2, 1, 1, 1), BGE(0.5, 1, 1, 1), d):
             got = d.pdf(np.array([0.0, 0.7, 0.0]))
             assert got[0] == got[2] == d.pdf(0.0) and got[1] > 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_density_above_the_double_range_is_inf(self):
+        # alpha a = 0.005 < 1, so f grows like x^-0.995 at 0: its log is
+        # 727.84 at x = 1e-320, and pdf gives the unbounded marker there
+        d, x = BGE(0.05, 1, 1, 0.1), 1e-320
+        assert d.logpdf(x) == pytest.approx(727.84, abs=0.01)
+        assert d.pdf(x) == math.inf and d.hazard(x) == math.inf
+        got = d.pdf(np.array([x, 1.0]))
+        assert got[0] == math.inf and got[1] == pytest.approx(d.pdf(1.0), rel=1e-15)
+        assert d.hazard(np.array([x]))[0] == math.inf
 
     def test_negative_x_raises(self):
         with pytest.raises(ValueError):
@@ -481,7 +492,8 @@ def _ulps(got, want):
 
 
 #: lam*x grid: both ends of the domain, the log 2 switch, and z = 800,
-#: where exp(-z) underflows and log u is clamped to -1e-300.
+#: where exp(-z) underflows, log u rounds to 0 and the log-density's
+#: far-tail rule gives log(1 - u^alpha) = log alpha - z.
 _LOG2 = math.log(2.0)
 Z_GRID = sorted(set([1e-300, 1e-200, 1e-20, 1e-8, 800.0]
                     + [_LOG2 + k * 1e-15 for k in range(-3, 4)]
@@ -495,7 +507,9 @@ class TestScalarArrayAgreement:
     on a few percent of arguments, so log1mexp may differ by 1 ulp.
     logpdf adds that difference, scaled by its coefficient, to the other
     terms; where the terms cancel the sum can move by many of its own
-    ulps, so logpdf is held to 2 ulps of its largest term.
+    ulps, so logpdf is held to 2 ulps of its largest term.  Past
+    -log u < 1e-300 both paths take the far-tail pieces, log alpha - z
+    and -z, whose log alpha is math.log or np.log (1 ulp).
 
     cdf and survival take the same ``betainc`` and ``betaincc`` calls, at
     log G from log1mexp (1 ulp, so |log G| ulps absolute) and at G or
@@ -522,19 +536,26 @@ class TestScalarArrayAgreement:
             got = log1mexp(z)
             assert got == want or (math.isnan(got) and math.isnan(want)), z
 
-    def test_log_u_and_clamp(self, dists):
+    def test_log_u_and_far_pieces(self, dists):
         for d in dists:
             for z in Z_GRID:
                 x = z / d.lam
                 assert _ulps(log_u(d, x), log_u(d, np.array([x]))[0]) <= 1.0, (d, x)
-            assert log_u(d, 800.0 / d.lam) == -1e-300
+            # at z = 800, log u rounds to 0; log(-log u) = -z and
+            # log(1 - u^alpha) = log alpha - z
+            x = 800.0 / d.lam
+            scalar = _log_density(d.params_tuple(), 0.0, x)
+            array = [p[0] for p in _log_density(d.params_tuple(), 0.0, np.array([x]))]
+            for _, z, logu, _, log1mua, loglogu in (scalar, array):
+                assert logu == 0.0 and loglogu == -z, (d, x)
+                assert _ulps(log1mua, math.log(d.alpha) - z) <= 1.0, (d, x)
 
     @staticmethod
     def _logpdf_tol(d, x):
         """The bound on logpdf at x: 2 ulps of its largest term."""
-        logu = log_u(d, x)
-        terms = (math.log(d.alpha * d.lam) - d.log_beta_ab, d.lam * x,
-                 (d.alpha * d.a - 1.0) * logu, (d.b - 1.0) * log1mexp(-d.alpha * logu))
+        _, z, logu, _, log1mua, _ = _log_density(d.params_tuple(), 0.0, x)
+        terms = (math.log(d.alpha * d.lam) - d.log_beta_ab, z,
+                 (d.alpha * d.a - 1.0) * logu, (d.b - 1.0) * log1mua)
         return 2.0 * np.spacing(max(abs(t) for t in terms))
 
     def test_logpdf_and_pdf(self, dists):
