@@ -267,53 +267,77 @@ def _tanh_sinh_level(level: int) -> np.ndarray:
     return nodes
 
 
-def _log_latent_transform(logv, loglogv, alpha: float):
-    """Rows log(1 - w) and log(-log(1 - w)) at w = v^(1/alpha), from the
-    node rows log v and log(-log v); the second is log(lam * x) at the
-    BGE variate x = -log(1 - w) / lam of the latent beta variate v."""
-    zed = -logv / alpha              # w = e^-zed
-    with np.errstate(divide="ignore"):
-        # log(1 - e^-zed); log zed - zed/2 where zed is tiny or 0
-        log1mw = np.where(zed < 1e-8, loglogv - math.log(alpha) - 0.5 * zed, log1mexp(zed))
-        # log(-log(1 - e^-zed)) = -zed + log1p(e^-zed / 2) + O(e^-2zed)
-        loglogw = np.where(zed > 30.0, -zed + np.log1p(0.5 * np.exp(-zed)), np.log(-log1mw))
-    return log1mw, loglogw
+class NonIntegrableError(ValueError, RuntimeError):
+    """Raised when an expectation over the latent beta variate has no
+    finite value: a divergent index set (a ``ValueError``), or a
+    tanh-sinh rule that does not converge (a ``RuntimeError``)."""
 
 
-def _tanh_sinh_log_integral(log_terms) -> tuple:
-    """logs of integrals over v in (0, 1) by the tanh-sinh rule, one per
-    row of terms, and the largest relative difference of their last two
-    levels.
+def _latent_log_integrals(dist, powers) -> list:
+    """The log of the integral over v in (0, 1) of prod_c column_c^power_c
+    by the tanh-sinh rule, for each row of ``powers``.
 
-    ``log_terms`` maps a level's node rows (log v, log(1 - v),
-    log(-log v), log dv/dt) to the log of integrand times dv/dt: one row
-    of terms, or a 2-d array whose rows are integrands sharing the nodes.
-    The step halves, up to 6 times, until every row's last two levels
-    agree to 1e-12 relative; each row's terms are summed scaled by its
-    running maximum, so an integral may lie far outside the double
-    range.  The caller raises when the returned difference exceeds
-    ``_TS_FAIL_RTOL``.
+    The seven columns are v, 1 - v, -log v, 1 - w, lam x, I_v(a, b) and
+    1 - I_v(a, b) at w = v^(1/alpha), lam x = -log(1 - w) being the BGE
+    variate of the latent beta variate v.  A row's log integrand is
+    log dv/dt plus power * log column, added in column order; a zero
+    power adds nothing, and no column that only zero powers read is
+    formed.  The step halves, up to 6 times, and each row is fixed at
+    the first level where its last two agree to 1e-12 relative, so its
+    value does not depend on the rows beside it.  Each row's terms are
+    summed scaled by its running maximum, so an integral may lie far
+    outside the double range.  A row whose last two levels differ by
+    more than 1e-8 relative raises ``NonIntegrableError``.
     """
+    a, b, alpha = dist.a, dist.b, dist.alpha
+    rows = len(powers)
+    # each column read, with its powers: a scalar where the rows share it, so
+    # that its terms stay 1-d, else a column, in which a zero power must not
+    # meet a log I_v of -inf as 0 * -inf = nan
+    terms = [(c, col[0] if len(set(col)) == 1 else np.array(col)[:, None])
+             for c, col in enumerate(zip(*powers)) if any(col)]
+    used = {c for c, _ in terms}
+    out = [None] * rows
+    shift = [-math.inf] * rows   # running max of each row's log terms
+    total = [0.0] * rows         # each row's terms scaled by e^-shift
+    est = [math.nan] * rows
     for level in range(_TS_LEVELS):
-        rows = np.atleast_2d(log_terms(_tanh_sinh_level(level)))
-        if level == 0:
-            shift = [-math.inf] * len(rows)   # running max of each row's log terms
-            total = [0.0] * len(rows)         # each row's terms scaled by e^-shift
-            est = [math.nan] * len(rows)
-        rel = 0.0
-        for k, lterm in enumerate(rows):
-            top = float(lterm.max())
+        logv, log1mv, loglogv, lterm = _tanh_sinh_level(level)
+        cols = [logv, log1mv, loglogv, None, None, None, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if used & {3, 4}:
+                zed = -logv / alpha              # w = e^-zed
+                # log(1 - e^-zed); log zed - zed/2 where zed is tiny or 0
+                cols[3] = np.where(zed < 1e-8, loglogv - math.log(alpha) - 0.5 * zed,
+                                   log1mexp(zed))
+                # log(lam x) = log(-log(1 - e^-zed)) = -zed + log1p(e^-zed / 2) + O(e^-2zed)
+                cols[4] = np.where(zed > 30.0, -zed + np.log1p(0.5 * np.exp(-zed)),
+                                   np.log(-cols[3]))
+            if used & {5, 6}:
+                cols[5:] = _beta_tail_array(a, b, dist.log_beta_ab, logv, log1mv)
+            for c, p in terms:
+                term = p * cols[c]
+                lterm = lterm + (np.where(p == 0.0, 0.0, term) if rows > 1 and c > 4 else term)
+        # a 1-d lterm is every row's: no column's powers differ between them
+        for k, row in enumerate(lterm if lterm.ndim > 1 else [lterm] * rows):
+            if out[k] is not None:
+                continue
+            top = float(row.max())
             if top > shift[k]:
                 rescale = math.exp(shift[k] - top)
                 total[k], est[k], shift[k] = total[k] * rescale, est[k] * rescale, top
-            total[k] += float(np.exp(lterm - shift[k]).sum())
+            total[k] += float(np.exp(row - shift[k]).sum())
             prev, est[k] = est[k], total[k] * _TS_H0 / 2 ** level
-            row_rel = abs(est[k] - prev) / est[k]
-            # max() keeps a nan first argument but drops a nan second one
-            rel = max(rel, row_rel) if row_rel == row_rel else math.nan
-        if rel <= _TS_RTOL:
+            rel = abs(est[k] - prev) / est[k]
+            if rel <= _TS_RTOL or level == _TS_LEVELS - 1 and rel <= _TS_FAIL_RTOL:
+                out[k] = shift[k] + math.log(est[k])
+            elif level == _TS_LEVELS - 1:
+                raise NonIntegrableError(
+                    f"the tanh-sinh rule did not converge for {dist} at powers "
+                    f"{powers[k]} (last two levels differ by {rel:.2g} relative)")
+        if None not in out:
             break
-    return [s + math.log(e) for s, e in zip(shift, est)], rel
+    return out
 
 
 @dataclass(frozen=True)
@@ -492,9 +516,11 @@ class BGE:
                                   _log_density(self.params_tuple(), 0.0, x)[4])
             return _beta_tail(self.a, self.b, self.log_beta_ab, log_g, upper)
         x = np.asarray(x, dtype=float)
-        log_g = self.alpha * log1mexp(self.lam * x)
+        log_g = np.asarray(self.alpha * log1mexp(self.lam * x))
+        # _beta_tail_array reads log(1 - G) only where G > 1/2, so log G > -0.7
+        log_1mg, near = np.zeros(x.shape), log_g > -0.7
         with np.errstate(divide="ignore"):
-            log_1mg = np.log(-np.expm1(log_g))
+            log_1mg[near] = np.log(-np.expm1(log_g[near]))
             past = log_1mg < _LOG_DBL_MIN
             if past.any():
                 log_1mg[past] = _log_density(self.params_tuple(), 0.0, x[past])[4]

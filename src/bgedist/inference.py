@@ -16,9 +16,10 @@ along a b -> infinity ridge on which the family degenerates to a
 generalized gamma limit, so an unbounded "MLE" does not exist.  Fits
 that terminate on the box are reported with ``converged=False`` and the
 active bounds listed in ``hit_bounds``.  The expected information takes
-its beta expectations from a tanh-sinh rule on cached nodes, and the
-fit takes psi and psi' from ``specfun``, so fits, their covariance and
-likelihood-ratio tests load no scipy module.
+its T-expectations as the rows of one call of the latent-expectation
+engine (``distribution._latent_log_integrals``, a tanh-sinh rule on
+cached nodes), and the fit takes psi and psi' from ``specfun``, so fits,
+their covariance and likelihood-ratio tests load no scipy module.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
-from .distribution import (_TS_FAIL_RTOL, BGE, MODEL_FREE_PARAMS, PARAM_NAMES, Sample,
-                           _log_density, _log_latent_transform, _log_norm,
-                           _tanh_sinh_log_integral)
+from .distribution import (BGE, MODEL_FREE_PARAMS, PARAM_NAMES, NonIntegrableError, Sample,
+                           _latent_log_integrals, _log_density, _log_norm)
 
 __all__ = [
     "PARAM_NAMES",
@@ -58,10 +58,6 @@ __all__ = [
 DEFAULT_LOG_BOUND = 4.5
 
 _GRAD_TOL = 1e-6
-
-
-class NonIntegrableError(ValueError):
-    """Raised when a requested T-expectation has no finite value."""
 
 
 def _as_values(data) -> np.ndarray:
@@ -169,21 +165,20 @@ def score(dist: BGE, data) -> ScoreVector:
 
 
 def t_expectation(dist: BGE, i: int, j: int, k: int, l: int, m: int) -> float:
-    """E[(1-V)^-i (1-V^(1/alpha))^j V^(i-k/alpha) log(1-V^(1/alpha))^l (log V)^m]
+    """The paper's T_{i,j,k,l,m}:
+    E[(1-V)^-i (1-V^(1/alpha))^j V^(i-k/alpha) log(1-V^(1/alpha))^l (log V)^m]
     for V ~ Beta(a, b), indices in {0, 1, 2}.
 
     Near v=1 the integrand scales like (1-v)^(b-1-i+j+m) up to logs, so
     the expectation is finite iff b > i - j - m; the symmetric condition
     at v=0 is a + i + (l-k)/alpha > 0.
 
-    The integral is taken by the tanh-sinh rule v = (1 + tanh(pi/2 sinh t))/2,
-    truncated to t in [-8, 8], where the integrand has decayed like
-    (1-v)^(b-i+j+m) or v^(a+i+(l-k)/alpha) with 1 - v or v near e^-4682.
-    The step starts at 1/8 and halves, up to 6 times, until two levels
-    agree to 1e-12 relative.  Every factor is formed in log space from
-    whichever of log v and log(1 - v) is small, so neither end loses its
-    tail.  A last level that still disagrees by more than 1e-8 relative
-    raises ``NonIntegrableError``, as a divergent index set does.
+    The integral is one row of the latent-expectation engine,
+    ``distribution._latent_log_integrals``: a tanh-sinh rule truncated
+    where 1 - v or v is near e^-4682, by which the integrand has decayed
+    like (1-v)^(b-i+j+m) or v^(a+i+(l-k)/alpha), with every factor in
+    log space.  A row that does not converge raises
+    ``NonIntegrableError``, as a divergent index set does.
     """
     for name, idx in (("i", i), ("j", j), ("k", k), ("l", l), ("m", m)):
         if idx not in (0, 1, 2):
@@ -195,30 +190,15 @@ def t_expectation(dist: BGE, i: int, j: int, k: int, l: int, m: int) -> float:
     if not (a + i + (l - k) / alpha > 0.0):
         raise NonIntegrableError(
             f"T_{{{i},{j},{k},{l},{m}}} diverges at v=0 for a={a}, alpha={alpha}")
+    return _t_expectations(dist, [(i, j, k, l, m)])[0]
 
-    pow_v = a - 1.0 + i - k / alpha
-    pow_1mv = b - 1.0 - i
 
-    def log_terms(nodes):
-        logv, log1mv, loglogv, logw = nodes
-        lterm = logw + pow_v * logv + pow_1mv * log1mv
-        if m:
-            lterm += m * loglogv
-        if j or l:
-            log1mw, loglogw = _log_latent_transform(logv, loglogv, alpha)
-            if j:
-                lterm += j * log1mw
-            if l:
-                lterm += l * loglogw
-        return lterm
-
-    (log_integral,), rel = _tanh_sinh_log_integral(log_terms)
-    if not rel <= _TS_FAIL_RTOL:
-        raise NonIntegrableError(
-            f"T_{{{i},{j},{k},{l},{m}}}: the tanh-sinh rule did not converge for "
-            f"{dist} (last two levels differ by {rel:.2g} relative)")
-    sign = -1.0 if (l + m) % 2 else 1.0
-    return sign * math.exp(log_integral - specfun.log_beta(a, b))
+def _t_expectations(dist: BGE, index_sets) -> list:
+    """T_{i,j,k,l,m} for each index set, as the rows of one engine call."""
+    a, b, alpha = dist.a, dist.b, dist.alpha
+    rows = [(a - 1.0 + i - k / alpha, b - 1.0 - i, m, j, l, 0, 0) for i, j, k, l, m in index_sets]
+    return [(-1.0 if (l + m) % 2 else 1.0) * math.exp(log_integral - specfun.log_beta(a, b))
+            for (i, j, k, l, m), log_integral in zip(index_sets, _latent_log_integrals(dist, rows))]
 
 
 @dataclass(frozen=True)
@@ -236,37 +216,44 @@ def information_matrix(dist: BGE) -> InfoMatrix:
 
     Entries combine polygamma terms with T-expectations.  At b = 1 the
     closed form of the (b, alpha) entry is 0/0, so the entry is taken by
-    quadrature instead and listed in ``fallback_entries``.  Every index
-    set used has i - j - m <= 0 and l >= k, so each T-expectation is
-    finite for all a, b > 0; a tanh-sinh rule that does not converge
-    raises ``NonIntegrableError``, which ``fit_mle`` reports as
-    ``covariance=None``.
+    quadrature instead and listed in ``fallback_entries``.  The 11
+    T-expectations (12 at b = 1) are the rows of one engine call, each
+    fixed at the level where it converges, so each equals its
+    ``t_expectation``.  Every index set used has i - j - m <= 0 and
+    l >= k, so each T-expectation is finite for all a, b > 0; a row
+    that does not converge raises ``NonIntegrableError``, which
+    ``fit_mle`` reports as ``covariance=None``.
     """
     a, b, lam, alpha = dist.params_tuple()
     psi, psi1 = specfun.digamma, specfun.trigamma
-    T = lambda *idx: t_expectation(dist, *idx)
     at_b1 = abs(b - 1.0) <= 1e-8
+    index_sets = [(0, 1, 1, 1, 0), (1, 1, 1, 1, 0), (0, 2, 2, 2, 0), (0, 1, 1, 2, 0),
+                  (2, 2, 2, 2, 0), (1, 2, 2, 2, 0), (1, 1, 1, 2, 0), (2, 1, 1, 1, 1),
+                  (1, 1, 1, 1, 1), (2, 0, 0, 0, 2), (1, 0, 0, 0, 2)]
+    if at_b1:
+        index_sets.append((1, 0, 0, 0, 1))
+    T = dict(zip(index_sets, _t_expectations(dist, index_sets)))
 
     entries = {
         "a,a": psi1(a) - psi1(a + b),
         "a,b": -psi1(a + b),
-        "a,lam": alpha / lam * T(0, 1, 1, 1, 0),
+        "a,lam": alpha / lam * T[0, 1, 1, 1, 0],
         "a,alpha": (psi(a + b) - psi(a)) / alpha,
         "b,b": psi1(b) - psi1(a + b),
-        "b,lam": -alpha / lam * T(1, 1, 1, 1, 0),
+        "b,lam": -alpha / lam * T[1, 1, 1, 1, 0],
         # the closed form is 0/0 at b = 1; take the quadrature route
-        "b,alpha": (T(1, 0, 0, 0, 1) / alpha if at_b1
+        "b,alpha": (T[1, 0, 0, 0, 1] / alpha if at_b1
                     else (a * (psi(a) - psi(a + b)) + 1.0) / (alpha * (b - 1.0))),
         "lam,lam": (1.0
-                    + (alpha * a - 1.0) * (T(0, 2, 2, 2, 0) + T(0, 1, 1, 2, 0))
-                    + alpha * (b - 1.0) * (alpha * T(2, 2, 2, 2, 0)
-                                           + (alpha - 1.0) * T(1, 2, 2, 2, 0)
-                                           - T(1, 1, 1, 2, 0))) / lam ** 2,
-        "lam,alpha": (a * T(0, 1, 1, 1, 0)
-                      - (b - 1.0) * (T(1, 1, 1, 1, 0) + T(2, 1, 1, 1, 1)
-                                     + T(1, 1, 1, 1, 1))) / lam,
-        "alpha,alpha": (1.0 + (b - 1.0) * (T(2, 0, 0, 0, 2)
-                                           + T(1, 0, 0, 0, 2))) / alpha ** 2,
+                    + (alpha * a - 1.0) * (T[0, 2, 2, 2, 0] + T[0, 1, 1, 2, 0])
+                    + alpha * (b - 1.0) * (alpha * T[2, 2, 2, 2, 0]
+                                           + (alpha - 1.0) * T[1, 2, 2, 2, 0]
+                                           - T[1, 1, 1, 2, 0])) / lam ** 2,
+        "lam,alpha": (a * T[0, 1, 1, 1, 0]
+                      - (b - 1.0) * (T[1, 1, 1, 1, 0] + T[2, 1, 1, 1, 1]
+                                     + T[1, 1, 1, 1, 1])) / lam,
+        "alpha,alpha": (1.0 + (b - 1.0) * (T[2, 0, 0, 0, 2]
+                                           + T[1, 0, 0, 0, 2])) / alpha ** 2,
     }
 
     K = np.empty((4, 4))

@@ -10,13 +10,12 @@ edge cases; the shifted form used here agrees with the direct formula
 degree of the multi-index, weighted from powers of the coefficients'
 generating function, serves integer and real b alike (``_mixture_sum``).
 
-Moments are expectations over the latent Beta(a, b) variate, summed in
-log space by the tanh-sinh rule that the expected information uses
-(``distribution._tanh_sinh_log_integral``): halving the step until two
-levels agree to 1e-12 relative, and raising ``RuntimeError`` if the
-last two still differ by more than 1e-8.  I_V and 1 - I_V on the nodes
-come from ``distribution._beta_tail_array``.  No quadrature cut is
-placed on the x axis, so ``scipy.integrate`` is not loaded.
+Moments are expectations over the latent Beta(a, b) variate, one row of
+the tanh-sinh engine that the expected information and
+``series.moment_set`` use (``distribution._latent_log_integrals``),
+which raises ``NonIntegrableError``, a ``RuntimeError``, where it does
+not converge.  No quadrature cut is placed on the x axis, so
+``scipy.integrate`` is not loaded.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .distribution import (_TS_FAIL_RTOL, BGE, _beta_tail_array, _log_latent_transform,
-                           _tanh_sinh_log_integral)
+from .distribution import BGE, _latent_log_integrals
 from .series import _cancellation_guard, _coefficients, mgf, raw_moment
 
 __all__ = [
@@ -170,14 +168,13 @@ def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int,
 
         E[X_{i:n}^r] = E[T(V)^r I_V^(i-1) (1 - I_V)^(n-i)] / B(i, n-i+1),
 
-    I_V being the Beta(a, b) cdf.  The expectation is summed in log space
-    on the tanh-sinh nodes that ``inference.t_expectation`` uses: the
-    step halves, up to 6 times, until two levels agree to 1e-12
-    relative, and a last difference above 1e-8 relative raises
-    ``RuntimeError``.  "mixture" combines component raw moments with the
-    delta weights and exists for expansion fidelity checks; it takes
-    ``per_index_cap`` and raises ``MixtureBudgetError`` or
-    ``SeriesConvergenceError`` as ``order_stat_pdf_mixture`` does.
+    I_V being the Beta(a, b) cdf: one row of the latent engine that
+    ``inference.t_expectation`` uses, whose ``NonIntegrableError`` where
+    it does not converge is a ``RuntimeError``.  "mixture" combines
+    component raw moments with the delta weights and exists for
+    expansion fidelity checks; it takes ``per_index_cap`` and raises
+    ``MixtureBudgetError`` or ``SeriesConvergenceError`` as
+    ``order_stat_pdf_mixture`` does.
     """
     if r not in (1, 2, 3, 4):
         raise ValueError(f"order_stat_moment supports r in 1..4, got {r}")
@@ -185,28 +182,10 @@ def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int,
         return _mixture_sum(dist, idx, lambda comp: raw_moment(comp, r), per_index_cap)
     if method != "quadrature":
         raise ValueError(f"method must be 'quadrature' or 'mixture', got {method!r}")
-    a, b, alpha = dist.a, dist.b, dist.alpha
     i, n = idx.i, idx.n
-    log_beta_ab = dist.log_beta_ab
-
-    def log_terms(nodes):
-        logv, log1mv, loglogv, logw = nodes
-        _, log_lam_x = _log_latent_transform(logv, loglogv, alpha)
-        lterm = logw + (a - 1.0) * logv + (b - 1.0) * log1mv + r * log_lam_x
-        if n > 1:
-            log_cdf, log_sf = _beta_tail_array(a, b, log_beta_ab, logv, log1mv)
-            if i > 1:
-                lterm += (i - 1) * log_cdf
-            if i < n:
-                lterm += (n - i) * log_sf
-        return lterm
-
-    (log_integral,), rel = _tanh_sinh_log_integral(log_terms)
-    if not rel <= _TS_FAIL_RTOL:
-        raise RuntimeError(
-            f"E[X_{{{i}:{n}}}^{r}]: the tanh-sinh rule did not converge for {dist} "
-            f"(last two levels differ by {rel:.2g} relative)")
-    return math.exp(log_integral - r * math.log(dist.lam) - log_beta_ab
+    row = (dist.a - 1.0, dist.b - 1.0, 0, 0, r, i - 1, n - i)
+    (log_integral,) = _latent_log_integrals(dist, [row])
+    return math.exp(log_integral - r * math.log(dist.lam) - dist.log_beta_ab
                     - specfun.log_beta(i, n - i + 1))
 
 

@@ -13,11 +13,12 @@ use it, so importing the package does not load it.
 
 ``raw_moment`` is the paper's moment series.  ``moment_set`` (and so
 ``skewness_kurtosis``) and ``shannon_entropy`` instead take E[X^r] as an
-expectation over the latent Beta(a, b) variate by the tanh-sinh rule
-that ``order_stats.order_stat_moment`` uses: the series is off by up to
-1e-2 at b < 0.03 and cannot be evaluated in doubles at large b, while
-the rule is accurate to about 1e-14 at every point checked, the box
-corners included, and loads no scipy module.
+expectation over the latent Beta(a, b) variate, one row per r of the
+tanh-sinh engine that ``order_stats.order_stat_moment`` and the
+expected information use (``distribution._latent_log_integrals``): the
+series is off by up to 1e-2 at b < 0.03 and cannot be evaluated in
+doubles at large b, while the rule is accurate to about 1e-14 at every
+point checked, the box corners included, and loads no scipy module.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import specfun
-from .distribution import (_TS_FAIL_RTOL, BGE, _log_latent_transform, _tanh_sinh_log_integral,
-                           log1mexp)
+from .distribution import BGE, NonIntegrableError, _latent_log_integrals, log1mexp
 
 __all__ = [
     "SeriesEval",
@@ -49,8 +49,10 @@ __all__ = [
 
 
 class SeriesConvergenceError(RuntimeError):
-    """Raised when a series hits its term cap before meeting tolerance, or
-    when the tanh-sinh rule of ``moment_set`` does not converge."""
+    """Raised when a series hits its term cap before meeting tolerance, or,
+    re-raised from the latent engine's ``NonIntegrableError``, when the
+    tanh-sinh rule of ``moment_set`` or ``shannon_entropy`` does not
+    converge (then ``partial`` is nan and ``terms`` 0)."""
 
     def __init__(self, message: str, partial: float, terms: int):
         super().__init__(message)
@@ -399,31 +401,22 @@ class MomentSet:
 
 
 def _latent_moments(dist: BGE, orders: tuple) -> list:
-    """E[(lam X)^r] for each r in ``orders`` from one tanh-sinh pass over
-    the latent variate V ~ Beta(a, b), lam X = -log(1 - V^(1/alpha)).
+    """E[(lam X)^r] for each r in ``orders`` as the rows of one engine call
+    over the latent variate V ~ Beta(a, b), lam X = -log(1 - V^(1/alpha)).
 
-    The log T row is formed once per level and each r adds its own row;
-    the step halves until every row's last two levels agree to 1e-12
-    relative, and a last difference above 1e-8 relative raises
-    ``SeriesConvergenceError``."""
-    a, b, alpha = dist.a, dist.b, dist.alpha
-    r = np.array(orders, dtype=float)[:, None]
-
-    def log_terms(nodes):
-        logv, log1mv, loglogv, logw = nodes
-        _, log_lam_x = _log_latent_transform(logv, loglogv, alpha)
-        return logw + (a - 1.0) * logv + (b - 1.0) * log1mv + r * log_lam_x
-
-    log_integrals, rel = _tanh_sinh_log_integral(log_terms)
-    if not rel <= _TS_FAIL_RTOL:
-        raise SeriesConvergenceError(
-            f"moments of {dist}: the tanh-sinh rule did not converge (last two "
-            f"levels differ by {rel:.2g} relative)", partial=math.nan, terms=0)
+    Each row is fixed at the first level where its last two agree to
+    1e-12 relative; one whose last difference is above 1e-8 relative
+    raises ``SeriesConvergenceError``."""
+    rows = [(dist.a - 1.0, dist.b - 1.0, 0, 0, r, 0, 0) for r in orders]
+    try:
+        log_integrals = _latent_log_integrals(dist, rows)
+    except NonIntegrableError as exc:
+        raise SeriesConvergenceError(str(exc), partial=math.nan, terms=0) from exc
     return [math.exp(li - dist.log_beta_ab) for li in log_integrals]
 
 
 def moment_set(dist: BGE) -> MomentSet:
-    """The first four raw moments from one tanh-sinh pass over the latent
+    """The first four raw moments from one engine call over the latent
     beta variate, with the central quantities derived from them."""
     mu1, mu2, mu3, mu4 = (m / dist.lam ** r for r, m in
                           zip((1, 2, 3, 4), _latent_moments(dist, (1, 2, 3, 4))))

@@ -87,3 +87,10 @@ def test_survival_where_one_minus_g_is_subnormal():
     # with 1 - G = e^-x below the double range
     d = BGE(1.0, 0.5, 1.0, 1.0)
     assert d.survival(760.0) == pytest.approx(math.exp(-380.0), rel=1e-13, abs=0.0)
+
+
+def test_zero_d_array_where_one_minus_g_underflows():
+    # a 0-d array takes the array path, which must carry 1 - G's log there too
+    d = BGE(1.0, 0.5, 1.0, 1.0)
+    assert d.survival(np.array(760.0)) == pytest.approx(math.exp(-380.0), rel=1e-13, abs=0.0)
+    assert d.cdf(np.array(760.0)) == 1.0

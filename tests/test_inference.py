@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import bgedist.distribution as distribution
 import bgedist.inference as inf
 from bgedist import BGE
 from bgedist import specfun as sf
@@ -14,6 +15,8 @@ from bgedist.inference import (NonIntegrableError, confidence_intervals,
                                fit_mle, fit_result_kv, information_matrix,
                                log_likelihood, lr_from_fits, lr_result_kv,
                                lr_test, parse_fit_result_kv, score, t_expectation)
+from bgedist.order_stats import OrderStatIndex, order_stat_moment
+from bgedist.series import SeriesConvergenceError, moment_set, shannon_entropy
 
 from conftest import _ref_pieces, _ref_score_contrib, mc_expected_information
 
@@ -366,19 +369,58 @@ class TestInformationMatrix:
         assert "b,alpha" in info.fallback_entries
 
     def test_non_integrable_error_propagates(self, monkeypatch, glass_fibre):
-        # a T-expectation that fails is not papered over: the error leaves
-        # information_matrix, and fit_mle reports no covariance
-        real_t = inf.t_expectation
+        # a latent-rule pass that fails is not papered over: the error
+        # leaves information_matrix, and fit_mle reports no covariance
+        def failing(dist, powers):
+            raise NonIntegrableError("forced")
 
-        def patched(dist, i, j, k, l, m):
-            if (i, j, k, l, m) == (0, 1, 1, 1, 0):
-                raise NonIntegrableError("forced")
-            return real_t(dist, i, j, k, l, m)
-
-        monkeypatch.setattr(inf, "t_expectation", patched)
+        monkeypatch.setattr(inf, "_latent_log_integrals", failing)
         with pytest.raises(NonIntegrableError, match="forced"):
             information_matrix(BGE(2.0, 3.0, 1.0, 1.5))
         assert fit_mle(glass_fibre, "ge").covariance is None
+
+
+#: The index sets (i, j, k, l, m) of the information matrix's T-expectations.
+INFO_INDEX_SETS = [(0, 1, 1, 1, 0), (1, 1, 1, 1, 0), (0, 2, 2, 2, 0), (0, 1, 1, 2, 0),
+                   (2, 2, 2, 2, 0), (1, 2, 2, 2, 0), (1, 1, 1, 2, 0), (2, 1, 1, 1, 1),
+                   (1, 1, 1, 1, 1), (2, 0, 0, 0, 2), (1, 0, 0, 0, 2)]
+
+
+class TestLatentEngine:
+    """The one tanh-sinh engine behind the T-expectations, the moments and
+    the order-statistic moments."""
+
+    def test_each_caller_raises_its_documented_type(self, monkeypatch):
+        # one level leaves no level difference, so no row converges
+        monkeypatch.setattr(distribution, "_TS_LEVELS", 1)
+        d = BGE(2.0, 3.0, 1.0, 1.5)
+        message = "the tanh-sinh rule did not converge"
+        with pytest.raises(NonIntegrableError, match=message):
+            t_expectation(d, 0, 1, 1, 1, 0)
+        with pytest.raises(NonIntegrableError, match=message):
+            information_matrix(d)
+        with pytest.raises(SeriesConvergenceError, match=message):
+            moment_set(d)
+        with pytest.raises(SeriesConvergenceError, match=message):
+            shannon_entropy(d)
+        with pytest.raises(RuntimeError, match=message):
+            order_stat_moment(d, OrderStatIndex(2, 3), 2)
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        # each row is fixed at the first level where it converges, so one
+        # call equals its rows taken one by one: the information matrix's
+        # rows, and order-statistic rows, whose zero I_v powers must not
+        # meet a log I_v of -inf as nan
+        rng = np.random.default_rng(0)
+        for params in np.exp(rng.uniform(-4.5, 4.5, size=(20, 4))):
+            d = BGE(*map(float, params))
+            info_rows = [(d.a - 1.0 + i - k / d.alpha, d.b - 1.0 - i, m, j, l, 0, 0)
+                         for i, j, k, l, m in INFO_INDEX_SETS]
+            order_rows = [(d.a - 1.0, d.b - 1.0, 0, 0, r, i - 1, n - i)
+                          for i, n, r in ((1, 3, 1), (3, 3, 1), (2, 4, 2))]
+            for rows in (info_rows, order_rows):
+                assert distribution._latent_log_integrals(d, rows) == [
+                    distribution._latent_log_integrals(d, [row])[0] for row in rows]
 
 
 class TestFit:
