@@ -50,11 +50,13 @@ def log1mexp(z):
                 return math.log(-math.expm1(-z))
             return math.log1p(-math.exp(-z))
         return -math.inf if z == 0.0 else math.nan
-    z = np.asarray(z, dtype=float)
-    small = z < _LOG2
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(small, np.log(-np.expm1(-z)), np.log1p(-np.exp(-z)))
-    return _as_float_if_0d(out)
+        return _as_float_if_0d(_log1m_exp(-np.asarray(z, dtype=float)))
+
+
+def _log1m_exp(w):
+    """log(1 - e^w) over an array of w: ``log1mexp(-w)`` without negating w."""
+    return np.where(w > -_LOG2, np.log(-np.expm1(w)), np.log1p(-np.exp(w)))
 
 
 def _as_float_if_0d(out):
@@ -83,8 +85,8 @@ def _log_density(params, log_norm, x):
     """
     a, b, lam, alpha = params
     z = lam * x
-    logu = log1mexp(z)
     if isinstance(z, float):
+        logu = log1mexp(z)
         if logu > -1e-300:
             log_alpha = math.log(alpha)
             return ((b - 1.0) * log_alpha - b * z + log_norm + (alpha * a - 1.0) * logu,
@@ -93,14 +95,16 @@ def _log_density(params, log_norm, x):
         return (log_norm - z + (alpha * a - 1.0) * logu + (b - 1.0) * log1mua,
                 z, logu, alpha * logu, log1mua, math.log(-logu))
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0, inf - inf: far, replaced below
-        loglogu, log1mua = np.log(-logu), log1mexp(-alpha * logu)
+        logu = _log1m_exp(-z)
+        alogu = alpha * logu
+        loglogu, log1mua = np.log(-logu), _log1m_exp(alogu)
         logf = log_norm - z + (alpha * a - 1.0) * logu + (b - 1.0) * log1mua
     far = logu > -1e-300
     if far.any():  # np.where only then: logpdf arrays seldom reach it
         log_alpha = np.log(alpha)
         logf = np.where(far, (b - 1.0) * log_alpha - b * z + log_norm + (alpha * a - 1.0) * logu, logf)
         loglogu, log1mua = np.where(far, -z, loglogu), np.where(far, log_alpha - z, log1mua)
-    return logf, z, logu, alpha * logu, log1mua, loglogu
+    return logf, z, logu, alogu, log1mua, loglogu
 
 
 #: Below e^-690 (about 1e-300) the small beta-cdf argument counts as

@@ -4,8 +4,10 @@ The likelihood is maximized in log-parameter space (all four parameters
 are positive) by a projected Newton method with a trust region on the
 analytic Hessian, from a deterministic multi-start ladder.  All starts
 of a fit advance together as the rows of one batch, whose
-log-likelihood, score and Hessian each pass takes from one broadcast
-kernel; the public ``score`` is that kernel's score row at one point.
+log-likelihood, score and Hessian each pass takes from one call of one
+broadcast kernel, which blocks its observation sums itself and
+assembles the score and Hessian once for all rows; the public
+``score`` is that kernel's score row at one point.
 The ladders of the nested sub-models run in the same batch and their
 optima seed the larger model, so a fit never ends below a model nested
 in it.  The runs of the most recent dataset and box are
@@ -66,32 +68,25 @@ def _as_values(data) -> np.ndarray:
     return Sample(np.asarray(data, dtype=float)).values
 
 
-def _loglik_score_hessian(theta: np.ndarray, y: np.ndarray, logy: np.ndarray):
-    """Log-likelihood (rows,), score (rows, 4) and Hessian (rows, 4, 4)
-    in (a, b, lam, alpha) at each row of ``theta`` (rows, 4), from one
-    broadcast pass of ``_log_density``; ``logy`` is log(y).
+#: Observations times rows per block of the kernel's sums, which bounds its temporaries.
+_KERNEL_BLOCK = 4096
+#: The place of each entry of a 4 x 4 Hessian in its upper triangle, both row-major.
+_HESS_INDEX = [0, 1, 2, 3, 1, 4, 5, 6, 2, 5, 7, 8, 3, 6, 8, 9]
 
-    The log-likelihood has the bits of ``log_likelihood`` at each row.
-    The score and Hessian take psi and psi' of a, b and a + b from one
-    call of the elementwise ``specfun._psi_trigamma``.
-    With L = log u, L' = dL/dlam = y e^{-lam y}/u, L'' = -y^2 e^{-lam y}/u^2,
-    M = log(1 - u^alpha) and r = u^alpha/(1 - u^alpha), the second
-    derivatives need r(1 + r) = u^alpha/(1 - u^alpha)^2, which overflows
-    where u^alpha rounds near 1; it is only formed in log space, inside
-    its products with L^2, L L' and L'^2, which stay finite.  log(-L) and
-    M are the log-density's, by its far-tail rule.
-    """
-    log_norm = np.array([[_log_norm(*row)] for row in theta.tolist()])
+
+def _observation_sums(theta, log_norm, y, logy):
+    """Each row's log-likelihood and the ten observation sums of
+    ``_loglik_score_hessian``, from one broadcast pass of ``_log_density``;
+    its (rows, n) temporaries are freed on return, for the next block."""
     logf, z, logu, alogu, log1mua, log_mlogu = _log_density(list(theta.T[:, :, None]), log_norm, y)
-    ll = logf.sum(axis=1)
-
     log_yu = logy - logu                            # log(y/u)
     log_dl = log_yu - z                             # log L'
     log_r = alogu - log1mua
     log_rr = log_r - log1mua                        # log r(1 + r)
-    # The eight sums are formed one at a time in one scratch array: a
-    # pass that frees many (rows, n) temporaries lets the C heap shrink,
-    # and the next pass then faults its pages back in.
+    log_rdl = log_r + log_dl                        # log r L'
+    # The sums are formed one at a time in one scratch array: a block
+    # that frees many (rows, n) temporaries lets the C heap shrink, and
+    # the next one then faults its pages back in.
     buf = np.empty_like(z)
 
     def sum_exp(*log_parts):
@@ -102,36 +97,66 @@ def _loglik_score_hessian(theta: np.ndarray, y: np.ndarray, logy: np.ndarray):
             total = np.add(total, part, out=buf)
         return np.exp(total, out=buf).sum(axis=1)
 
-    two_log_mlogu, two_log_dl = 2.0 * log_mlogu, 2.0 * log_dl
-    s_dl = sum_exp(log_dl)                              # L'
-    s_rdl = sum_exp(log_r, log_dl)                      # r L'
-    s_rl = sum_exp(log_r, log_mlogu)                    # -r L
-    s_ddl = sum_exp(log_dl, log_yu)                     # -L''
-    s_rrll = sum_exp(log_rr, two_log_mlogu)             # r(1 + r) L^2
-    s_rrdd = sum_exp(log_rr, two_log_dl)                # r(1 + r) L'^2
-    s_rrld = sum_exp(log_rr, log_dl, log_mlogu)         # -r(1 + r) L L'
-    s_rddl = sum_exp(log_r, log_dl, log_yu)             # -r L''
-    s_l, s_m = logu.sum(axis=1), log1mua.sum(axis=1)
+    return logf.sum(axis=1), [
+        logu.sum(axis=1),                           # L
+        log1mua.sum(axis=1),                        # M
+        sum_exp(log_dl),                            # L'
+        sum_exp(log_rdl),                           # r L'
+        sum_exp(log_r, log_mlogu),                  # -r L
+        sum_exp(log_dl, log_yu),                    # -L''
+        sum_exp(log_rr, 2.0 * log_mlogu),           # r(1 + r) L^2
+        sum_exp(log_rr, 2.0 * log_dl),              # r(1 + r) L'^2
+        sum_exp(log_rr, log_dl, log_mlogu),         # -r(1 + r) L L'
+        sum_exp(log_rdl, log_yu),                   # -r L''
+    ]
+
+
+def _loglik_score_hessian(theta: np.ndarray, y: np.ndarray, logy: np.ndarray):
+    """Log-likelihood (rows,), score (rows, 4) and Hessian (rows, 4, 4)
+    in (a, b, lam, alpha) at each row of ``theta`` (rows, 4); ``logy`` is
+    log(y).
+
+    The observation sums come from ``_observation_sums`` over blocks of
+    at most ``_KERNEL_BLOCK`` rows times observations; a row's do not
+    depend on the rows beside it, and its log-likelihood has the bits of
+    ``log_likelihood``.  The score and Hessian are assembled once for all
+    rows, with psi and psi' of a, b and a + b from one call of the
+    elementwise ``specfun._psi_trigamma``.
+    With L = log u, L' = dL/dlam = y e^{-lam y}/u, L'' = -y^2 e^{-lam y}/u^2,
+    M = log(1 - u^alpha) and r = u^alpha/(1 - u^alpha), the second
+    derivatives need r(1 + r) = u^alpha/(1 - u^alpha)^2, which overflows
+    where u^alpha rounds near 1; it is only formed in log space, inside
+    its products with L^2, L L' and L'^2, which stay finite.  log(-L) and
+    M are the log-density's, by its far-tail rule.
+    """
+    rows, n = theta.shape[0], y.size
+    block = max(1, _KERNEL_BLOCK // n)
+    log_norm = np.array([[_log_norm(*row)] for row in theta.tolist()])
+    ll, sums = np.empty(rows), np.empty((10, rows))
+    for i in range(0, rows, block):
+        cut = slice(i, i + block)
+        ll[cut], sums[:, cut] = _observation_sums(theta[cut], log_norm[cut], y, logy)
+    s_l, s_m, s_dl, s_rdl, s_rl, s_ddl, s_rrll, s_rrdd, s_rrld, s_rddl = sums
 
     a, b, lam, alpha = theta.T
-    n = y.size
-    (psi_a, psi_b, psi_ab), (tri_a, tri_b, tri_ab) = specfun._psi_trigamma(
-        np.array([a, b, a + b]))
+    psi, tri = specfun._psi_trigamma(np.array([a, b, a + b]))
+    n_dpsi = n * (psi[:2] - psi[2])             # n(psi(a) - psi(a + b)), the same at b
+    n_dtri = n * (tri[2] - tri[:2])             # n(psi'(a + b) - psi'(a)), the same at b
     am1, bm1 = alpha * a - 1.0, b - 1.0
-    score = np.stack([
-        alpha * s_l - n * (psi_a - psi_ab),
-        s_m - n * (psi_b - psi_ab),
+    score = np.array([
+        alpha * s_l - n_dpsi[0],
+        s_m - n_dpsi[1],
         n / lam - y.sum() + am1 * s_dl - alpha * bm1 * s_rdl,
         n / alpha + a * s_l + bm1 * s_rl,
-    ], axis=1)
-    hess = np.empty((theta.shape[0], 4, 4))
-    for (i, j), v in {(0, 0): n * (tri_ab - tri_a), (0, 1): n * tri_ab,
-                      (1, 1): n * (tri_ab - tri_b), (0, 2): alpha * s_dl, (0, 3): s_l,
-                      (1, 2): -alpha * s_rdl, (1, 3): s_rl,
-                      (2, 2): -n / lam ** 2 - am1 * s_ddl - alpha * bm1 * (alpha * s_rrdd - s_rddl),
-                      (2, 3): a * s_dl - bm1 * (s_rdl - alpha * s_rrld),
-                      (3, 3): -n / alpha ** 2 - bm1 * s_rrll}.items():
-        hess[:, i, j] = hess[:, j, i] = v
+    ]).T
+    upper = [
+        n_dtri[0], n * tri[2], alpha * s_dl, s_l,                               # (a, .)
+        n_dtri[1], -alpha * s_rdl, s_rl,                                        # (b, .)
+        -n / lam ** 2 - am1 * s_ddl - alpha * bm1 * (alpha * s_rrdd - s_rddl),  # (lam, lam)
+        a * s_dl - bm1 * (s_rdl - alpha * s_rrld),                              # (lam, alpha)
+        -n / alpha ** 2 - bm1 * s_rrll,                                         # (alpha, alpha)
+    ]
+    hess = np.array([upper[k] for k in _HESS_INDEX]).T.reshape(rows, 4, 4)
     return ll, score, hess
 
 
@@ -302,11 +327,12 @@ def _ge_moment_match(mean: float, var: float) -> tuple:
     if not (var > 0.0) or not math.isfinite(var):
         return 1.0 / mean, 1.0
     cv2 = var / mean ** 2
+    psi_1, tri_1 = specfun.digamma(1.0), specfun.trigamma(1.0)
 
     def gap(log_alpha: float) -> float:
         al = math.exp(log_alpha)
-        c = specfun.digamma(al + 1.0) - specfun.digamma(1.0)
-        p = specfun.trigamma(1.0) - specfun.trigamma(al + 1.0)
+        c = specfun.digamma(al + 1.0) - psi_1
+        p = tri_1 - specfun.trigamma(al + 1.0)
         return p / (c * c) - cv2
 
     lo, hi = math.log(1e-4), math.log(1e6)
@@ -319,7 +345,7 @@ def _ge_moment_match(mean: float, var: float) -> tuple:
             break       # lo and hi are adjacent floats: every later step repeats this one
         lo, hi = step
     alpha = math.exp(0.5 * (lo + hi))
-    lam = (specfun.digamma(alpha + 1.0) - specfun.digamma(1.0)) / mean
+    lam = (specfun.digamma(alpha + 1.0) - psi_1) / mean
     return lam, alpha
 
 
@@ -375,8 +401,6 @@ _MAX_EVALS = 200
 #: Initial and largest trust-region radius, in log-parameter units.
 _RADIUS0, _RADIUS_MAX = 1.0, 4.0
 _BOUND_SLACK = 1e-9
-#: Observations times rows per kernel call, which bounds its temporaries.
-_KERNEL_BLOCK = 4096
 #: Relative rounding noise of a log-likelihood sum, per unit of |loglik| + n.
 _F_NOISE = 1e-13
 #: ((bytes of y, log_bound), what ``_ascend`` holds) of the last dataset
@@ -419,7 +443,7 @@ def _model_step(fixed, g, hess, radius):
     """The trust-region step of ``_trust_step`` with ``fixed`` coordinates held."""
     gm = np.where(fixed, 0.0, g)
     neg_h = np.where(fixed[:, :, None] | fixed[:, None, :], 0.0, -hess)
-    neg_h[:, range(4), range(4)] += fixed
+    np.einsum("kii->ki", neg_h)[...] += fixed    # the diagonals, as a view
     lam, vec = np.linalg.eigh(neg_h)
     q = np.einsum("kij,ki->kj", vec, gm)
     q2 = q ** 2
@@ -427,20 +451,23 @@ def _model_step(fixed, g, hess, radius):
     # mu > max(0, -lmin) keeps -H + mu I positive definite
     mu_lo = np.where(lmin > 0.0, 0.0, 1e-12 * (1.0 + np.abs(lam).max(axis=1)) - lmin)
     mu = mu_lo
+    too_far, too_near = 1.1 * radius, 0.9 * radius
     for _ in range(30):
         den = lam + mu[:, None]
-        norm2 = np.sum(q2 / den ** 2, axis=1)
+        norm2 = (q2 / den ** 2).sum(axis=1)
         norm = np.sqrt(norm2)
-        far = (norm > 1.1 * radius) | ((mu > mu_lo) & (norm < 0.9 * radius))
+        far = (norm > too_far) | ((mu > mu_lo) & (norm < too_near))
         if not far.any():
             break
-        step = norm2 / np.sum(q2 / den ** 3, axis=1) * (norm - radius) / radius
+        step = norm2 / (q2 / den ** 3).sum(axis=1) * (norm - radius) / radius
         mu = np.where(far, np.maximum(mu + step, mu_lo), mu)
-    d = np.einsum("kij,kj->ki", vec, q / (lam + mu[:, None]))
+    else:
+        den = lam + mu[:, None]
+    d = np.einsum("kij,kj->ki", vec, q / den)
     # the hard case: gm has no component along the most negative curvature
-    hard = (lmin < 0.0) & (norm < 0.9 * radius)
+    hard = (lmin < 0.0) & (norm < too_near)
     if hard.any():
-        tau = np.sqrt(np.maximum(radius ** 2 - np.sum(d ** 2, axis=1), 0.0))
+        tau = np.sqrt(np.maximum(radius ** 2 - (d ** 2).sum(axis=1), 0.0))
         d = d + np.where(hard, tau, 0.0)[:, None] * vec[:, :, 0]
     return np.where(fixed, 0.0, d)
 
@@ -450,17 +477,19 @@ def _to_box(phi, d, lo, hi):
     the coordinates that reach the box set on it; coordinates already on
     the box that d points out of stay there."""
     d = np.where(((phi >= hi) & (d > 0.0)) | ((phi <= lo) & (d < 0.0)), 0.0, d)
+    up = d > 0.0
+    edge = np.where(up, hi, lo)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_hit = np.where(d > 0.0, (hi - phi) / d, np.where(d < 0.0, (lo - phi) / d, np.inf))
-    t = np.minimum(np.min(t_hit, axis=1, keepdims=True), 1.0)
-    return np.where(t_hit <= t, np.where(d > 0.0, hi, lo), np.clip(phi + t * d, lo, hi))
+        t_hit = np.where(up | (d < 0.0), (edge - phi) / d, np.inf)
+    t = np.minimum(t_hit.min(axis=1, keepdims=True), 1.0)
+    return np.where(t_hit <= t, edge, np.clip(phi + t * d, lo, hi))
 
 
 def _log_space(theta, score, hess):
     """Score and Hessian in phi = log theta."""
     g = score * theta
     h = hess * theta[:, :, None] * theta[:, None, :]
-    h[:, range(4), range(4)] += g
+    np.einsum("kii->ki", h)[...] += g
     return g, h
 
 
@@ -470,8 +499,8 @@ def _ascend(y: np.ndarray, plan: list, starts: dict, log_bound: float, held=None
     run and the score and Hessian of its row added.
 
     Each pass evaluates the log-likelihood, score and Hessian of every
-    live row by ``_loglik_score_hessian``, in blocks of at most
-    ``_KERNEL_BLOCK`` rows times observations.  A row's trajectory
+    stepping row by one call of ``_loglik_score_hessian``, and each row
+    keeps the norm of its projected gradient.  A row's trajectory
     depends on its start and the data alone, so a model's run is the same
     in every batch it takes part in.  Once every row of a model has
     stopped, its selected optimum goes back in as two rows of each model
@@ -482,7 +511,6 @@ def _ascend(y: np.ndarray, plan: list, starts: dict, log_bound: float, held=None
     """
     held = {} if held is None else held
     logy = np.log(y)
-    block = max(1, _KERNEL_BLOCK // y.size)
     lo, hi = -log_bound, log_bound
     masks = {m: np.isin(PARAM_NAMES, MODEL_FREE_PARAMS[m]) for m in plan}
     phi, group = [], []
@@ -512,21 +540,21 @@ def _ascend(y: np.ndarray, plan: list, starts: dict, log_bound: float, held=None
     radius = np.full(rows, _RADIUS0)
     live = np.zeros(rows, bool)
     evals, steps = np.zeros(rows, int), np.zeros(rows, int)
+    pg = np.zeros(rows)                         # each ascending row's |projected gradient|
 
-    def evaluate(pts):
-        theta = np.exp(pts)
-        ll, sc, hs = (np.concatenate(part) for part in zip(*(
-            _loglik_score_hessian(theta[i:i + block], y, logy)
-            for i in range(0, len(theta), block))))
+    def evaluate(theta):
+        ll, sc, hs = _loglik_score_hessian(theta, y, logy)
         gp, hp = _log_space(theta, sc, hs)
         ll = np.where(np.isnan(ll), -np.inf, ll)
-        finite = np.isfinite(ll) & np.isfinite(gp).all(axis=1) & np.isfinite(hp).all(axis=(1, 2))
-        return ll, gp, hp, finite
+        # gp is on hp's diagonal, so it is finite where hp is
+        return ll, gp, hp, np.isfinite(ll) & np.isfinite(hp).all(axis=(1, 2))
+
+    def stop(idx, norm):
+        pg[idx] = norm
+        live[idx[(norm <= _STOP_TOL) | (evals[idx] >= _MAX_EVALS)]] = False
 
     def stop_converged(idx):
-        proj, _ = _projected(phi[idx], free[idx], g[idx], lo, hi)
-        done = (np.max(np.abs(proj), axis=1) <= _STOP_TOL) | (evals[idx] >= _MAX_EVALS)
-        live[idx[done]] = False
+        stop(idx, np.abs(_projected(phi[idx], free[idx], g[idx], lo, hi)[0]).max(axis=1))
 
     def choose(m, run):
         held[m] = run
@@ -544,57 +572,59 @@ def _ascend(y: np.ndarray, plan: list, starts: dict, log_bound: float, held=None
                     sub in plan and sub not in held for sub in _SEEDS.get(m, ())):
                 continue
             proj, hit = _projected(phi[mine], free[mine], g[mine], lo, hi)
-            pg = np.max(np.abs(proj), axis=1)
-            conv = (pg < _GRAD_TOL) & ~hit.any(axis=1)
+            norm = np.abs(proj).max(axis=1)
+            conv = (norm < _GRAD_TOL) & ~hit.any(axis=1)
             floor = np.max(f[mine], where=anchor[mine], initial=-np.inf)
             pool = np.flatnonzero(conv & (f[mine] >= floor))
             if pool.size == 0:
                 pool = np.arange(mine.size)
             best = pool[np.argmax(f[mine][pool])]       # the first of equal maxima
             r = mine[best]
-            choose(m, (phi[r], f[r], pg[best], bool(conv[best]),
+            choose(m, (phi[r], f[r], norm[best], bool(conv[best]),
                        tuple(p for p, h in zip(PARAM_NAMES, hit[best]) if h), int(steps[r]),
                        g[r], hess[r]))
 
     for m, run in list(held.items()):
         choose(m, run)
-    f[ladder], g[ladder], hess[ladder], live[ladder] = evaluate(phi[ladder])
+    f[ladder], g[ladder], hess[ladder], live[ladder] = evaluate(np.exp(phi[ladder]))
     evals[ladder] = 1
     stop_converged(ladder)
     close_models()
     while live.any():
-        stepping = np.flatnonzero(live)
-        d = _trust_step(phi[stepping], free[stepping], g[stepping], hess[stepping],
-                        radius[stepping], lo, hi)
-        cand = _to_box(phi[stepping], d, lo, hi)
-        still = np.all(np.exp(cand) == np.exp(phi[stepping]), axis=1)
-        live[stepping[still]] = False           # theta can no longer move
-        stepping, cand, d = stepping[~still], cand[~still], d[~still]
+        stepping = was_live = np.flatnonzero(live)
+        phi0, fr, g0, h0, r0 = phi[stepping], free[stepping], g[stepping], hess[stepping], radius[stepping]
+        d = _trust_step(phi0, fr, g0, h0, r0, lo, hi)
+        cand = _to_box(phi0, d, lo, hi)
+        theta = np.exp(cand)
+        still = (theta == np.exp(phi0)).all(axis=1)
+        if still.any():
+            live[stepping[still]] = False       # theta can no longer move
+            stepping, phi0, fr, g0, h0, r0, d, cand, theta = (
+                v[~still] for v in (stepping, phi0, fr, g0, h0, r0, d, cand, theta))
         if stepping.size:
-            ll, gp, hp, finite = evaluate(cand)
+            ll, gp, hp, finite = evaluate(theta)
             evals[stepping] += 1
-            s = cand - phi[stepping]
-            g0 = g[stepping]
-            pred = np.sum(g0 * s, axis=1) + 0.5 * np.einsum("ki,kij,kj->k", s, hess[stepping], s)
-            gain = ll - f[stepping]
+            s = cand - phi0
+            pred = (g0 * s).sum(axis=1) + 0.5 * np.einsum("ki,kij,kj->k", s, h0, s)
+            f0 = f[stepping]
+            gain = ll - f0
             # Within the rounding noise of the log-likelihood its change
             # says nothing: a step the model predicts to gain no more than
             # that is accepted when it shrinks the projected gradient.
-            noise = _F_NOISE * (np.abs(f[stepping]) + y.size)
-            pg_old = np.max(np.abs(_projected(phi[stepping], free[stepping], g0, lo, hi)[0]), axis=1)
-            pg_new = np.max(np.abs(_projected(cand, free[stepping], gp, lo, hi)[0]), axis=1)
+            noise = _F_NOISE * (np.abs(f0) + y.size)
+            pg_old, pg_new = pg[stepping], np.abs(_projected(cand, fr, gp, lo, hi)[0]).max(axis=1)
             ok = finite & ((gain > 0.0) | ((pred < noise) & (gain > -noise) & (pg_new < pg_old)))
             rho = np.where(pred > 0.0, gain / np.where(pred > 0.0, pred, 1.0), -1.0)
-            full = np.sqrt(np.sum(d ** 2, axis=1)) >= 0.99 * radius[stepping]
+            full = np.sqrt((d ** 2).sum(axis=1)) >= 0.99 * r0
             radius[stepping] = np.where(
-                ~ok | (rho < 0.25), 0.25 * np.sqrt(np.sum(s ** 2, axis=1)),
-                np.where((rho > 0.75) & full, np.minimum(2.0 * radius[stepping], _RADIUS_MAX),
-                         radius[stepping]))
+                ~ok | (rho < 0.25), 0.25 * np.sqrt((s ** 2).sum(axis=1)),
+                np.where((rho > 0.75) & full, np.minimum(2.0 * r0, _RADIUS_MAX), r0))
             acc = stepping[ok]
             phi[acc], f[acc], g[acc], hess[acc] = cand[ok], ll[ok], gp[ok], hp[ok]
             steps[acc] += 1
-            stop_converged(stepping)
-        close_models()
+            stop(stepping, np.where(ok, pg_new, pg_old))
+        if not live[was_live].all():
+            close_models()
     return held
 
 

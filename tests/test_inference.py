@@ -225,6 +225,38 @@ class TestHessianKernel:
             for got, want in zip(batch, alone):
                 np.testing.assert_array_equal(got[r:r + 1], want, strict=True)
 
+    def test_rows_of_a_blocked_batch_do_not_depend_on_the_batch(self):
+        # at n = 1000 a block holds 4 rows, so 9 rows take three blocks
+        y = BGE(2.0, 1.5, 1.0, 2.0).sample(1000, np.random.default_rng(9)).values
+        assert -(-9 // (inf._KERNEL_BLOCK // y.size)) == 3
+        theta = np.exp(np.random.default_rng(10).uniform(-4.5, 4.5, size=(9, 4)))
+        batch = inf._loglik_score_hessian(theta, y, np.log(y))
+        for r in range(len(theta)):
+            alone = inf._loglik_score_hessian(theta[r:r + 1], y, np.log(y))
+            for got, want in zip(batch, alone):
+                np.testing.assert_array_equal(got[r:r + 1], want, strict=True)
+
+    def test_one_kernel_call_per_stepping_pass(self, monkeypatch):
+        # the kernel blocks its own sums, so a pass calls it once however
+        # many rows times observations it evaluates; the ascent's first
+        # evaluation of its ladder is the one call without a step
+        calls = {"kernel": 0, "step": 0}
+        kernel, trust_step = inf._loglik_score_hessian, inf._trust_step
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(inf, "_loglik_score_hessian", counting("kernel", kernel))
+        monkeypatch.setattr(inf, "_trust_step", counting("step", trust_step))
+        monkeypatch.setattr(inf, "_held", (None, {}))
+        y = BGE(2.0, 1.5, 1.0, 2.0).sample(1000, np.random.default_rng(11))
+        fit_mle(y, "bge", compute_covariance=False)
+        assert calls["step"] > 0
+        assert calls["kernel"] <= calls["step"] + 1
+
 
 class TestExpectedScoreIdentities:
     """The three expectations implied by a vanishing expected score."""
