@@ -1,8 +1,8 @@
 """Series expansions vs the incomplete-beta forms.
 
 Shows the cdf/density expansions converging to the direct evaluations,
-the beta-function form of the mgf, the closed-form moments, skewness/
-kurtosis surfaces, and the entropy formula.
+the mgf and the first four moments, skewness/kurtosis surfaces, and the
+entropy formula.
 """
 
 from bgedist import BGE

@@ -4,10 +4,10 @@ Core surface:
 
 - :class:`bgedist.BGE` -- the four-parameter distribution object
   (pdf/cdf/survival/hazard/quantile/sampling, sub-model constructors);
-- :mod:`bgedist.series` -- series expansions of the cdf, density,
+- :mod:`bgedist.series` -- series expansions of the cdf and density;
   mgf, moments and entropy;
-- :mod:`bgedist.order_stats` -- order-statistic densities, moments
-  and mgfs (direct and mixture forms);
+- :mod:`bgedist.order_stats` -- order-statistic densities (direct and
+  mixture forms), moments and mgfs;
 - :mod:`bgedist.inference` -- likelihood, score, expected information,
   maximum-likelihood fitting, confidence intervals, LR tests;
 - :mod:`bgedist.specfun` -- the special-function kernel.

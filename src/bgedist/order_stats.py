@@ -1,17 +1,17 @@
 """Order-statistic densities, moments and mgfs for BGE samples.
 
 The direct formula (parent pdf/cdf/survival composed with the beta
-kernel of ranks) is the normative implementation.  The mixture
-expansions rewrite the order-statistic density as a signed combination
-of BGE densities with shifted first shape parameter a*(k+i) + sum(m).
-The printed form of their coefficients does not reduce correctly in
-edge cases; the shifted form used here agrees with the direct formula
-(see errata.json at the repository root).  One sum over the total
-degree of the multi-index, weighted from powers of the coefficients'
-generating function, serves integer and real b alike (``_mixture_sum``).
+kernel of ranks) is the normative density.  The mixture expansion
+rewrites the order-statistic density as a signed combination of BGE
+densities with shifted first shape parameter a*(k+i) + sum(m).  The
+printed form of its coefficients does not reduce correctly in edge
+cases; the shifted form used here agrees with the direct formula (see
+errata.json at the repository root).  One sum over the total degree of
+the multi-index, weighted from powers of the coefficients' generating
+function, serves integer and real b alike (``_mixture_sum``).
 
-Moments are expectations over the latent Beta(a, b) variate, one row of
-the tanh-sinh engine that the expected information and
+Moments and mgfs are expectations over the latent Beta(a, b) variate,
+one row of the tanh-sinh engine that the expected information and
 ``series.moment_set`` use (``distribution._latent_log_integrals``),
 which raises ``NonIntegrableError``, a ``RuntimeError``, where it does
 not converge.  No quadrature cut is placed on the x axis, so
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import specfun
 from .distribution import BGE, _latent_log_integrals
-from .series import _cancellation_guard, _coefficients, mgf, raw_moment
+from .series import _cancellation_guard, _coefficients, _latent_mgf
 
 __all__ = [
     "OrderStatIndex",
@@ -158,30 +158,18 @@ def order_stat_pdf_mixture(dist: BGE, idx: OrderStatIndex, x: float,
     return _mixture_sum(dist, idx, lambda comp: comp.pdf(x), per_index_cap)
 
 
-def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int,
-                      method: str = "quadrature",
-                      per_index_cap: int = 25) -> float:
-    """E[X_{i:n}^r] for r in 1..4.
-
-    "quadrature" (default) takes the moment as an expectation over the
-    latent variate V ~ Beta(a, b), with X = T(V) = -log(1 - V^(1/alpha))/lam:
+def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int) -> float:
+    """E[X_{i:n}^r] for r in 1..4, as an expectation over the latent
+    variate V ~ Beta(a, b), with X = T(V) = -log(1 - V^(1/alpha))/lam:
 
         E[X_{i:n}^r] = E[T(V)^r I_V^(i-1) (1 - I_V)^(n-i)] / B(i, n-i+1),
 
     I_V being the Beta(a, b) cdf: one row of the latent engine that
     ``inference.t_expectation`` uses, whose ``NonIntegrableError`` where
-    it does not converge is a ``RuntimeError``.  "mixture" combines
-    component raw moments with the delta weights and exists for
-    expansion fidelity checks; it takes ``per_index_cap`` and raises
-    ``MixtureBudgetError`` or ``SeriesConvergenceError`` as
-    ``order_stat_pdf_mixture`` does.
+    it does not converge is a ``RuntimeError``.
     """
     if r not in (1, 2, 3, 4):
         raise ValueError(f"order_stat_moment supports r in 1..4, got {r}")
-    if method == "mixture":
-        return _mixture_sum(dist, idx, lambda comp: raw_moment(comp, r), per_index_cap)
-    if method != "quadrature":
-        raise ValueError(f"method must be 'quadrature' or 'mixture', got {method!r}")
     i, n = idx.i, idx.n
     row = (dist.a - 1.0, dist.b - 1.0, 0, 0, r, i - 1, n - i)
     (log_integral,) = _latent_log_integrals(dist, [row])
@@ -189,11 +177,9 @@ def order_stat_moment(dist: BGE, idx: OrderStatIndex, r: int,
                     - specfun.log_beta(i, n - i + 1))
 
 
-def order_stat_mgf(dist: BGE, idx: OrderStatIndex, t: float,
-                   per_index_cap: int = 25) -> float:
-    """Mgf of X_{i:n} at t < lam as a delta-weighted sum of component mgfs
-    (the paper's series); ``per_index_cap``, ``MixtureBudgetError`` and
-    ``SeriesConvergenceError`` are as in ``order_stat_pdf_mixture``."""
-    if not (t < dist.lam):
-        raise ValueError(f"order_stat_mgf requires t < lam = {dist.lam}, got t = {t}")
-    return _mixture_sum(dist, idx, lambda comp: mgf(comp, t), per_index_cap)
+def order_stat_mgf(dist: BGE, idx: OrderStatIndex, t: float) -> float:
+    """Mgf of X_{i:n}, finite for t < lam b (n-i+1): the row of ``mgf``
+    with I_V^(i-1) (1 - I_V)^(n-i) added, over B(i, n-i+1).  As there,
+    ``ValueError`` is raised for t > lam (b (n-i+1) - 0.0054), where the
+    rule would drop more than 1e-11 of the mass or the mgf is infinite."""
+    return _latent_mgf(dist, t, idx.i, idx.n, "order_stat_mgf")

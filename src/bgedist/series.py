@@ -1,4 +1,4 @@
-"""Series expansions: cdf and density mixtures, mgf, moments, entropy.
+"""Series expansions of the cdf and density; mgf, moments, entropy.
 
 The paper writes each series twice, as a finite binomial sum for
 integer ``b`` and an infinite series for real ``b``; here one engine sums
@@ -8,17 +8,20 @@ less rounding into the alternating sums than differences of ``lgamma``
 values do, and which at integer b gives (-1)^j C(b-1, j), exactly 0
 from j = b on.  Terms are evaluated in numpy blocks of the summation
 index, and a sum stops on the fixed truncation constants ``_TERM_TOL``
-and ``_MAX_TERMS``; ``scipy.special`` is imported by the functions that
-use it, so importing the package does not load it.
+and ``_MAX_TERMS``; ``scipy.integrate`` is imported by the tail integral
+that uses it, so importing the package does not load it.  The engine
+serves ``cdf_series`` and ``pdf_mixture``; its coefficients and
+cancellation guard also serve the order-statistic density mixture.
 
-``raw_moment`` is the paper's moment series.  ``moment_set`` (and so
-``skewness_kurtosis``) and ``shannon_entropy`` instead take E[X^r] as an
-expectation over the latent Beta(a, b) variate, one row per r of the
-tanh-sinh engine that ``order_stats.order_stat_moment`` and the
-expected information use (``distribution._latent_log_integrals``): the
-series is off by up to 1e-2 at b < 0.03 and cannot be evaluated in
+The mgf, the raw moments (``raw_moment``, ``moment_set`` and so
+``skewness_kurtosis``) and the mean inside ``shannon_entropy`` are
+expectations over the latent Beta(a, b) variate instead, each one row of
+the tanh-sinh engine that ``order_stats`` and the expected information
+use (``distribution._latent_log_integrals``).  The paper's moment and
+mgf series were off by up to 3 % at b < 0.03 and cannot be evaluated in
 doubles at large b, while the rule is accurate to about 1e-14 at every
-point checked, the box corners included, and loads no scipy module.
+point checked, the box corners included, and loads no scipy module; the
+tests still check the paper's expansions against it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import specfun
-from .distribution import BGE, NonIntegrableError, _latent_log_integrals, log1mexp
+from .distribution import (BGE, NonIntegrableError, _latent_log_integrals, _tanh_sinh_level,
+                           log1mexp)
 
 __all__ = [
     "SeriesEval",
@@ -44,14 +48,13 @@ __all__ = [
     "moment_set",
     "skewness_kurtosis",
     "shannon_entropy",
-    "ge_raw_moment",
 ]
 
 
 class SeriesConvergenceError(RuntimeError):
     """Raised when a series hits its term cap before meeting tolerance, or,
     re-raised from the latent engine's ``NonIntegrableError``, when the
-    tanh-sinh rule of ``moment_set`` or ``shannon_entropy`` does not
+    tanh-sinh rule of ``raw_moment``, ``moment_set`` or ``shannon_entropy`` does not
     converge (then ``partial`` is nan and ``terms`` 0)."""
 
     def __init__(self, message: str, partial: float, terms: int):
@@ -294,7 +297,7 @@ def closed_form_cdf_integer(dist: BGE, x: float, which: str) -> float:
     return math.exp(a * alpha * logu - math.lgamma(a) + lmax + math.log(s))
 
 
-def pdf_mixture(dist: BGE, x: float, full_output: bool = False):
+def pdf_mixture(dist: BGE, x: float) -> float:
     """Density through the expansion of (1-u^alpha)^(b-1) in powers of u^alpha."""
     if x <= 0.0:
         raise ValueError(f"pdf_mixture requires x > 0, got {x}")
@@ -306,85 +309,41 @@ def pdf_mixture(dist: BGE, x: float, full_output: bool = False):
     def payload(j: np.ndarray) -> np.ndarray:
         return alpha * j * logu
 
-    res = _sum_series(b, payload, base, "pdf_mixture")
-    value = max(res.value, 0.0)
-    res = SeriesEval(value, res.error_bound, res.terms)
-    return res if full_output else res.value
+    return max(_sum_series(b, payload, base, "pdf_mixture").value, 0.0)
 
 
-def mgf(dist: BGE, t: float, full_output: bool = False):
-    """Moment generating function M(t) for t < lam.
-
-    Expands into beta-function terms B(1 - t/lam, alpha*(a+j)).  At
-    non-integer b the series converges only while t/lam < b; outside
-    that region (and whenever the cap is reached) a
-    ``SeriesConvergenceError`` is raised.
-    """
-    a, b, lam, alpha = dist.a, dist.b, dist.lam, dist.alpha
-    if not (t < lam):
-        raise ValueError(f"mgf requires t < lam = {lam}, got t = {t}")
-    p = 1.0 - t / lam
-
-    def payload(j: np.ndarray) -> np.ndarray:
-        return specfun.log_beta_array(p, alpha * (a + j))
-
-    res = _sum_series(b, payload, math.log(alpha) - specfun.log_beta(a, b), "mgf")
-    return res if full_output else res.value
+# -- mgf and moments: rows of the latent engine ------------------------------
 
 
-# -- moments -------------------------------------------------------------------
+def _latent_mgf(dist: BGE, t: float, i: int = 1, n: int = 1, what: str = "mgf") -> float:
+    """E[e^(t X_{i:n})] = E[(1 - W)^(-t/lam) I_V^(i-1) (1 - I_V)^(n-i)] / B(i, n-i+1),
+    one row of the latent engine, finite for t < lam b (n-i+1).
+
+    Near V = 1 the integrand goes as (1 - V)^(delta - 1), delta =
+    b (n-i+1) - t/lam.  The rule's last node sits at 1 - v = e^-edge,
+    edge ~ 4682, so the mass it leaves out is about e^(-edge delta) of the
+    integral: ``ValueError`` is raised where that exceeds 1e-11, that is
+    for delta < log(1e11)/edge ~ 0.0054, past the bound included."""
+    edge = -float(_tanh_sinh_level(0)[1, -1])
+    margin = math.log(1e11) / edge
+    if not dist.b * (n - i + 1) - t / dist.lam >= margin:
+        raise ValueError(
+            f"{what} requires t < lam b (n-i+1) = {dist.lam * dist.b * (n - i + 1)!r}, "
+            f"by at least {margin * dist.lam:.3g} so that the tanh-sinh rule drops "
+            f"less than 1e-11 of the mass, got t = {t}")
+    row = (dist.a - 1.0, dist.b - 1.0, 0, -t / dist.lam, 0, i - 1, n - i)
+    (log_integral,) = _latent_log_integrals(dist, [row])
+    return math.exp(log_integral - dist.log_beta_ab - specfun.log_beta(i, n - i + 1))
 
 
-#: psi(1) = -Euler's gamma and zeta(2), zeta(3), zeta(4): the polygamma
-#: values at 1 that every GE moment is taken against.
-_EULER_GAMMA = 0.5772156649015329
-_ZETA2 = math.pi ** 2 / 6.0
-_ZETA3 = 1.2020569031595942
-_ZETA4 = math.pi ** 4 / 90.0
+def mgf(dist: BGE, t: float) -> float:
+    """Moment generating function M(t) = E[e^(tX)], finite for t < lam b.
 
-
-def _ge_moment_rows(theta) -> np.ndarray:
-    """Raw moments r = 1..4 of unit-rate GE(theta) components, row r-1 for r.
-
-    Built from polygamma differences at theta+1 and 1, with
-    psi^(m)(x) = (-1)^(m+1) m! zeta(m+1, x) (Abramowitz & Stegun 6.4.10);
-    these are the per-term quantities entering the moment series.
-    """
-    from scipy.special import psi, zeta
-
-    x = np.asarray(theta, dtype=float) + 1.0
-    c = psi(x) + _EULER_GAMMA              # psi(theta+1) - psi(1)
-    p = _ZETA2 - zeta(2.0, x)              # psi'(1) - psi'(theta+1)
-    q = 2.0 * (_ZETA3 - zeta(3.0, x))      # psi''(theta+1) - psi''(1)
-    rr = 6.0 * (_ZETA4 - zeta(4.0, x))     # psi'''(1) - psi'''(theta+1)
-    return np.array((c, c * c + p, c ** 3 + 3.0 * p * c + q,
-                     c ** 4 + 6.0 * p * c * c + 3.0 * p * p + 4.0 * q * c + rr))
-
-
-def ge_raw_moment(theta, r: int):
-    """r-th raw moment (r in 1..4) of a unit-rate GE(theta) component,
-    elementwise over an array of theta."""
-    if r not in (1, 2, 3, 4):
-        raise ValueError(f"ge_raw_moment supports r in 1..4, got {r}")
-    return _ge_moment_rows(theta)[r - 1]
-
-
-def _moment_sum(dist: BGE, r: int) -> SeriesEval:
-    """Unscaled raw-moment series E[(lam X)^r]: GE component moments
-    weighted by the paper's coefficients."""
-    a, b, alpha = dist.a, dist.b, dist.alpha
-
-    def payload(j: np.ndarray) -> np.ndarray:
-        return np.log(ge_raw_moment(alpha * (a + j), r)) - np.log(a + j)
-
-    return _sum_series(b, payload, -specfun.log_beta(a, b), f"raw_moment(r={r})")
-
-
-def raw_moment(dist: BGE, r: int) -> float:
-    """r-th raw moment, r in 1..4, via the weighted-GE-moment series."""
-    if r not in (1, 2, 3, 4):
-        raise ValueError(f"raw_moment supports r in 1..4, got {r}")
-    return _moment_sum(dist, r).value / dist.lam ** r
+    One row of the latent engine (``_latent_mgf``): ``ValueError`` is
+    raised for t > lam (b - 0.0054), where the rule would drop more than
+    1e-11 of the mass or the mgf is infinite, and ``NonIntegrableError``
+    (a ``RuntimeError``) where the rule does not converge."""
+    return _latent_mgf(dist, t)
 
 
 @dataclass(frozen=True)
@@ -413,6 +372,14 @@ def _latent_moments(dist: BGE, orders: tuple) -> list:
     except NonIntegrableError as exc:
         raise SeriesConvergenceError(str(exc), partial=math.nan, terms=0) from exc
     return [math.exp(li - dist.log_beta_ab) for li in log_integrals]
+
+
+def raw_moment(dist: BGE, r: int) -> float:
+    """r-th raw moment, r in 1..4: the row for r of ``moment_set``'s
+    engine call, and so equal to its ``mu<r>`` bit for bit."""
+    if r not in (1, 2, 3, 4):
+        raise ValueError(f"raw_moment supports r in 1..4, got {r}")
+    return _latent_moments(dist, (r,))[0] / dist.lam ** r
 
 
 def moment_set(dist: BGE) -> MomentSet:

@@ -4,23 +4,21 @@ Everything the rest of the package needs from classical analysis and
 does not take straight from ``scipy.special`` lives here: log-beta, the
 digamma and trigamma functions, and the chi-square tail (for
 likelihood-ratio p-values).  All functions are pure, deterministic and
-thread-safe; none touch global state.  ``log_beta_array`` and the
-private ``_psi_trigamma`` work elementwise on arrays; the rest take and
-return floats.
+thread-safe; none touch global state.  The private ``_psi_trigamma``
+works elementwise on arrays; the rest take and return floats.
 
 The incomplete beta ratio and its inverses are ``scipy.special``'s,
-called by ``distribution`` on whichever side is at most 1/2.
-``log_beta_array`` takes ``gammaln`` from it, and
-``series._ge_moment_rows`` psi and zeta(2..4, .); each imports scipy on
-first call so that importing the package stays cheap.  ``log_beta``,
-``polygamma`` (orders 0 and 1), ``_psi_trigamma`` and ``chi2_sf`` are
-written here, so the fit, its covariance and its likelihood-ratio tests
-load no scipy module.
+called by ``distribution`` on whichever side is at most 1/2 and imported
+there on first call, so that importing the package stays cheap.  This
+module loads no scipy module: ``log_beta``, ``polygamma`` (orders 0 and
+1), ``_psi_trigamma`` and ``chi2_sf`` are written here, so the fit, its
+covariance and its likelihood-ratio tests load no scipy module either.
 Against mpmath, ``scipy.special.betaln`` loses about 1e-10 relative at
 b ~ 2e4 where ``log_beta`` holds 3e-14.  The scalar ``digamma`` and
 ``trigamma`` serve the information matrix, the moment-matched fit start
 and ``shannon_entropy``; ``_psi_trigamma`` serves the batched fit
-kernel, and so ``score``.
+kernel, and so ``score``.  They are the package's only two writings of
+psi.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "log_beta",
-    "log_beta_array",
     "lgamma_diff",
     "polygamma",
     "digamma",
@@ -83,24 +80,6 @@ def log_beta(a: float, b: float) -> float:
     if big < 15.0:
         return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     return math.lgamma(small) - lgamma_diff(big, small)
-
-
-def log_beta_array(a, b) -> np.ndarray:
-    """``log_beta`` elementwise over broadcast arrays, with the same
-    Stirling difference where the larger argument is at least 15."""
-    from scipy.special import gammaln
-
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if not (np.all(a > 0.0) and np.all(b > 0.0)):
-        raise ValueError("log_beta_array requires positive arguments")
-    small, big = np.minimum(a, b), np.maximum(a, b)
-    direct = gammaln(a) + gammaln(b) - gammaln(a + b)
-    y = np.maximum(big, 15.0)  # the Stirling form is only taken for big >= 15
-    with np.errstate(over="ignore"):  # 1/(y*y) is 0 once y*y overflows
-        stirling = gammaln(small) - ((y - 0.5) * np.log1p(small / y)
-                                     + small * np.log(y + small) - small
-                                     + _stirling_tail(y + small) - _stirling_tail(y))
-    return np.where(big < 15.0, direct, stirling)
 
 
 # Bernoulli numbers B_2k, k = 1..6, for the asymptotic tails (the

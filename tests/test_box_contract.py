@@ -16,6 +16,9 @@ import pytest
 
 from bgedist import BGE
 from bgedist.inference import information_matrix
+from bgedist.order_stats import OrderStatIndex, order_stat_mgf
+from bgedist.series import mgf, moment_set, raw_moment
+from bgedist.specfun import log_beta
 
 from conftest import latent_score_information
 
@@ -33,6 +36,58 @@ def test_information_matrix_matches_latent_score_oracle(box):
         scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
         err = np.abs(information_matrix(d).matrix - want) / scale
         assert err.max() <= 1e-6, (d, err.max())
+
+
+def test_raw_moment_is_moment_set_row(box):
+    # one engine row per order, whatever the batch: the same bits
+    for d in box:
+        ms = moment_set(d)
+        assert [raw_moment(d, r) for r in (1, 2, 3, 4)] == [ms.mu1, ms.mu2, ms.mu3, ms.mu4], d
+
+
+def test_mgf_at_minus_lam_matches_closed_form(box):
+    # e^(-lam X) = 1 - W, W = V^(1/alpha), so M(-lam) = 1 - B(a + 1/alpha, b) / B(a, b)
+    for d in box:
+        want = -math.expm1(log_beta(d.a + 1.0 / d.alpha, d.b) - log_beta(d.a, d.b))
+        assert mgf(d, -d.lam) == pytest.approx(want, rel=1e-10, abs=0.0), d
+
+
+def test_order_stat_mgf_at_minus_lam_raises_nowhere(box):
+    # E[e^(-lam X)] lies in (0, 1]; where W is tiny it rounds to a few ulps above 1
+    for d in box:
+        assert 0.0 < order_stat_mgf(d, OrderStatIndex(2, 3), -d.lam) < 1.0 + 1e-13, d
+
+
+@pytest.mark.parametrize("delta", [0.0034, 0.0044])
+def test_mgf_refuses_where_the_rule_drops_mass(delta):
+    # t = lam (b - delta): the rule would drop ~e^(-4682 delta) of the mass,
+    # 1e-7 and 1e-9 here, so the mgf raises rather than return a value short by it
+    d = BGE(2.0, 0.3, 1.0, 1.0)
+    with pytest.raises(ValueError, match="lam b"):
+        mgf(d, d.b - delta)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0])
+def test_mgf_matches_be_closed_form(a):
+    # alpha = 1: M(t) = B(a, b - t/lam) / B(a, b), on t/(lam b) in {-10, -1, 0.5, 0.9};
+    # at b = 0.02 and 0.9, b - t/lam = 0.002 is inside the refused band
+    lam = 1.3
+    for b in (0.02, 0.5, 2.0, 50.0):
+        d = BGE(a, b, lam, 1.0)
+        for f in (-10.0, -1.0, 0.5, 0.9):
+            t = f * lam * b
+            if b - t / lam < 0.0059:
+                with pytest.raises(ValueError):
+                    mgf(d, t)
+                continue
+            with mp.workdps(30):
+                want = float(mp.beta(a, b - mp.mpf(t) / lam) / mp.beta(a, b))
+            assert mgf(d, t) == pytest.approx(want, rel=1e-12), (d, t)
+    d = BGE(2.0, 0.3, 1.0, 1.0)
+    t = 0.29  # b - t/lam = 0.01
+    with mp.workdps(30):
+        want = float(mp.beta(2, mp.mpf(0.3) - mp.mpf(t)) / mp.beta(2, mp.mpf(0.3)))
+    assert mgf(d, t) == pytest.approx(want, rel=1e-12)
 
 
 def _mp_log_one_minus_g(d, x):

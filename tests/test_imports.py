@@ -56,8 +56,9 @@ def test_order_stat_moment_loads_no_scipy_integrate():
 
 def test_moments_and_sweep_load_no_scipy_integrate_or_special():
     out = _run("import io, sys; import bgedist.cli; from bgedist import BGE; "
-               "from bgedist.series import moment_set, shannon_entropy, skewness_kurtosis; "
-               "d = BGE(2, 0.35, 1, 1.5); moment_set(d); skewness_kurtosis(d); shannon_entropy(d); "
+               "from bgedist.series import (mgf, moment_set, raw_moment, shannon_entropy, "
+               "skewness_kurtosis); d = BGE(2, 0.35, 1, 1.5); moment_set(d); "
+               "skewness_kurtosis(d); shannon_entropy(d); raw_moment(d, 3); mgf(d, 0.3); "
                "bgedist.cli.main(['curve', '--params', '2,3,1,1.5', '--sweep', 'b', "
                "'--grid', '0.35:2.35:6'], out=io.StringIO()); "
                "print(' '.join(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))")

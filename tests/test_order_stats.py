@@ -173,10 +173,12 @@ class TestMoments:
         assert order_stat_moment(d, OrderStatIndex(1, 2), 1) == pytest.approx(0.5, rel=1e-9)
 
     def test_mixture_vs_quadrature(self):
+        # the paper's order-statistic moment: component raw moments
+        # weighted like the density mixture's components
         d = BGE(2.0, 2.0, 1.0, 1.0)
         idx = OrderStatIndex(2, 3)
-        want = order_stat_moment(d, idx, 2, method="quadrature")
-        got = order_stat_moment(d, idx, 2, method="mixture")
+        want = order_stat_moment(d, idx, 2)
+        got = order_stats._mixture_sum(d, idx, lambda c: raw_moment(c, 2), 25)
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_stochastic_ordering(self):
@@ -185,15 +187,11 @@ class TestMoments:
         means = [order_stat_moment(d, OrderStatIndex(i, n), 1) for i in range(1, n + 1)]
         assert all(m2 > m1 for m1, m2 in zip(means, means[1:]))
 
-    def test_bad_method(self):
-        with pytest.raises(ValueError):
-            order_stat_moment(BGE(1, 2, 1, 1), OrderStatIndex(1, 2), 1, method="guess")
 
-
-def mp_order_stat_moment(params, i, n, r):
-    """Independent oracle: E[X_{i:n}^r] by mpmath quadrature at 20 digits
-    over the latent beta variate v, in s = -log v on v < 1/2 and in
-    q = -log(1 - v) on v > 1/2."""
+def mp_order_stat_moment(params, i, n, r, t=0):
+    """Independent oracle: E[X_{i:n}^r e^(t X_{i:n})] by mpmath quadrature
+    at 20 digits over the latent beta variate v, in s = -log v on v < 1/2
+    and in q = -log(1 - v) on v > 1/2."""
     with mp.workdps(20):
         a, b, lam, alpha = map(mp.mpf, params)
 
@@ -211,7 +209,8 @@ def mp_order_stat_moment(params, i, n, r):
             lw = logv / alpha                      # log v^(1/alpha)
             x = -(mp.log1p(-mp.exp(lw)) if lw < -1 else mp.log(-mp.expm1(lw))) / lam
             jac = log1mv if low else logv          # dv = v ds below 1/2, (1 - v) dq above
-            return x ** r * cdf ** (i - 1) * sf ** (n - i) * mp.exp(a * logv + b * log1mv - jac)
+            return (x ** r * mp.exp(t * x) * cdf ** (i - 1) * sf ** (n - i)
+                    * mp.exp(a * logv + b * log1mv - jac))
 
         # log(1 - e^-s) by log1p: log(-expm1(-s)) rounds to log 0 at large s
         lo = lambda s: integrand(-s, mp.log1p(-mp.exp(-s)), True)
@@ -275,10 +274,8 @@ class TestMgf:
             assert order_stat_mgf(d, OrderStatIndex(i, n), 0.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_normalization_at_zero_real_b(self):
-        # polynomially decaying coefficient shells: needs the wide caps
         d = BGE(1.5, 2.5, 1.0, 1.2)
-        assert order_stat_mgf(d, OrderStatIndex(1, 2), 0.0,
-                              per_index_cap=220) == pytest.approx(1.0, abs=1e-6)
+        assert order_stat_mgf(d, OrderStatIndex(1, 2), 0.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_against_quadrature(self):
         d = BGE(1.0, 2.0, 1.0, 1.0)
@@ -289,8 +286,17 @@ class TestMgf:
         assert order_stat_mgf(d, idx, t) == pytest.approx(want, rel=1e-8)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            order_stat_mgf(BGE(1, 2, 1, 1), OrderStatIndex(1, 2), 1.5)
+        # the minimum of 2 has survival S(x)^2 ~ e^(-2 lam b x): finite for
+        # t < lam b (n - i + 1) = 4, not only for t < lam
+        d, idx = BGE(1, 2, 1, 1), OrderStatIndex(1, 2)
+        with pytest.raises(ValueError, match="= 4.0"):
+            order_stat_mgf(d, idx, 4.0)
+        # X_{1:2} is exponential of rate 4 here, so the integrand is 4 e^(-2.5 x)
+        # and M(1.5) = 1.6; past x = 60 it is below 1e-64
+        want = quad(lambda x: math.exp(1.5 * x) * order_stat_pdf_direct(d, idx, x),
+                    0.0, 60.0, limit=300)[0]
+        assert want == pytest.approx(1.6, rel=1e-10)
+        assert order_stat_mgf(d, idx, 1.5) == pytest.approx(want, rel=1e-8)
 
 
 class TestReconciliationReport:

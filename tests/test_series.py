@@ -8,13 +8,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import polygamma
+from scipy.special import betaln, polygamma
 
 from bgedist import BGE, series
 from bgedist import specfun as sf
-from bgedist.series import (SeriesConvergenceError, _moment_sum, cdf_series,
-                            closed_form_cdf_integer, ge_raw_moment, mgf, moment_set,
-                            pdf_mixture, raw_moment, shannon_entropy, skewness_kurtosis)
+from bgedist.series import (SeriesConvergenceError, cdf_series, closed_form_cdf_integer,
+                            mgf, moment_set, pdf_mixture, raw_moment, shannon_entropy,
+                            skewness_kurtosis)
 from test_order_stats import mp_order_stat_moment
 
 
@@ -69,15 +69,15 @@ class TestCdfSeries:
             cdf_series(BGE(1.5, 2.7, 1.0, 1.3), 3.0)
 
     def test_cancellation_signal_at_large_b(self):
-        # moment/mgf expansions peak at ~2^b in the alternating phase
-        # and are not evaluable in doubles for large b; they must signal
-        # rather than return noise (the cdf expansion survives because
-        # its payload suppresses the peak terms)
-        d = BGE(0.4125, 93.4655, 0.92271, 22.6124)
-        with pytest.raises(SeriesConvergenceError):
-            raw_moment(d, 1)
-        with pytest.raises(SeriesConvergenceError):
-            mgf(d, 0.5)
+        # the paper's moment and mgf expansions peak at ~2^b in the
+        # alternating phase and are not evaluable in doubles for large b,
+        # so the moment and the mgf are rows of the latent engine; the cdf
+        # expansion survives because its payload suppresses the peak terms
+        params = (0.4125, 93.4655, 0.92271, 22.6124)
+        d = BGE(*params)
+        assert raw_moment(d, 1) == moment_set(d).mu1
+        assert mgf(d, 0.5) == pytest.approx(mp_order_stat_moment(params, 1, 1, 0, t=0.5),
+                                            rel=1e-10)
         assert cdf_series(d, 1.5) == pytest.approx(d.cdf(1.5), abs=1e-9)
 
     def test_x_zero(self):
@@ -166,15 +166,16 @@ class TestMgf:
             mgf(BGE(1, 1, 1.0, 1), 1.0)
 
     def test_appendix_identity_real_b(self, rng):
-        # sum_j (-1)^j Gamma(b) / (Gamma(b-j) j!) B(1-t/lam, a+j) = B(b-t/lam, a)
+        # sum_j (-1)^j Gamma(b) / (Gamma(b-j) j!) B(1-t/lam, a+j) = B(b-t/lam, a):
+        # the paper's beta-function form of the BE mgf, summed by the series engine
         for _ in range(20):
             a = float(rng.uniform(0.5, 5.0))
             b = float(rng.uniform(1.2, 9.0))
             if abs(b - round(b)) < 0.05:
                 b += 0.1
             t = float(rng.uniform(0.05, min(0.95, b - 0.2)))
-            d = BGE.be(a, b, 1.0)
-            lhs = mgf(d, t)
+            lhs = series._sum_series(b, lambda j: betaln(1.0 - t, a + j),
+                                     -sf.log_beta(a, b), "mgf").value
             rhs = math.exp(sf.log_beta(b - t, a) - sf.log_beta(a, b))
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
@@ -198,16 +199,18 @@ class TestMoments:
     @pytest.mark.parametrize("params", [(2.0, 0.3, 1.0, 1.5), (1.5, 0.05, 1.0, 2.0),
                                         (3.0, 0.12, 0.5, 4.0), (0.5, 0.7, 2.0, 0.8)])
     def test_flat_tail_exit_vs_mpmath(self, params):
-        # small b: every order leaves its series by the one-signed flat-tail
-        # exit (at j + 1 terms, j >= 128 a multiple of 32), so its value
-        # includes the tail integral
+        # small b: the cdf series at the 0.99 quantile leaves by the
+        # one-signed flat-tail exit (at j + 1 terms, j >= 128 a multiple of
+        # 32), so its value includes the tail integral
         d = BGE(*params)
+        x = d.quantile(0.99)
+        ev = cdf_series(d, x, full_output=True)
+        assert ev.terms > 128 and (ev.terms - 1) % 32 == 0, ev
+        assert ev.value == pytest.approx(d.cdf(x), abs=1e-8)
         ms = moment_set(d)
         for r in (1, 2, 3, 4):
-            ev = _moment_sum(d, r)
-            assert ev.terms > 128 and (ev.terms - 1) % 32 == 0, (r, ev)
             want = mp_order_stat_moment(params, 1, 1, r)
-            assert raw_moment(d, r) == pytest.approx(want, rel=1e-8)
+            assert raw_moment(d, r) == pytest.approx(want, rel=1e-12)
             assert getattr(ms, f"mu{r}") == pytest.approx(want, rel=1e-12)
 
     def test_exponential_skew_kurt_exact(self):
@@ -231,11 +234,11 @@ class TestMoments:
         q2 = polygamma(2, 1.0) - polygamma(2, theta + 1)
         printed = (c * c + p) * (c * c + 3 * p) + 2 * c * c * p - 4 * c * q2
         assert printed == pytest.approx(18.0, abs=1e-9)
-        assert ge_raw_moment(theta, 4) == pytest.approx(24.0, abs=1e-9)
+        assert raw_moment(BGE.ge(1.0, theta), 4) == pytest.approx(24.0, abs=1e-9)
         assert quad_moment(BGE.exponential(1.0), 4) == pytest.approx(24.0, rel=1e-7)
 
     def test_ge_raw_moment_array_vs_mpmath(self):
-        # E[Y^r] of unit-rate GE(theta) from its cumulants
+        # E[Y^r] of unit-rate GE(theta) = BGE.ge(1, theta) from its cumulants
         # k_m = (-1)^m (psi^(m-1)(1) - psi^(m-1)(theta+1)), at 30 digits
         theta = np.geomspace(1e-4, 1e4, 17)
         want = []
@@ -247,7 +250,8 @@ class TestMoments:
                     k1, k2 + k1 ** 2, k3 + 3 * k2 * k1 + k1 ** 3,
                     k4 + 4 * k3 * k1 + 3 * k2 ** 2 + 6 * k2 * k1 ** 2 + k1 ** 4)])
         for r in (1, 2, 3, 4):
-            assert ge_raw_moment(theta, r) == pytest.approx([w[r - 1] for w in want], rel=1e-11)
+            got = [raw_moment(BGE.ge(1.0, float(t)), r) for t in theta]
+            assert got == pytest.approx([w[r - 1] for w in want], rel=1e-11)
 
     def test_third_moment_sign_convention(self):
         # the extra sign on the third-moment coefficients is correct:
@@ -258,7 +262,7 @@ class TestMoments:
         c = sf.digamma(theta + 1) - sf.digamma(1.0)
         p = sf.trigamma(1.0) - sf.trigamma(theta + 1)
         e_j = -c * (c * c + 3 * p) + polygamma(2, 1.0) - polygamma(2, theta + 1)
-        assert -e_j == pytest.approx(ge_raw_moment(theta, 3), rel=1e-12)
+        assert -e_j == pytest.approx(raw_moment(BGE.ge(1.0, theta), 3), rel=1e-12)
 
 
 class TestSkewKurtCurves:
