@@ -183,31 +183,22 @@ def _beta_tail(a: float, b: float, log_beta_ab: float, log_g: float,
     return _beta_complement(a, b, g, s) if upper else s
 
 
-def _beta_tail_array(a: float, b: float, log_beta_ab: float, logv, log1mv, upper=None):
+def _beta_tail_array(a: float, b: float, log_beta_ab: float, logv, log1mv, upper: bool):
     """``_beta_tail`` over arrays of log v and log(1 - v): I_v(a, b), or
-    1 - I_v(a, b) when ``upper``; with ``upper=None``, the rows log I_v(a, b)
-    and log(1 - I_v(a, b)), which hold a leading term below the double range.
+    1 - I_v(a, b) when ``upper``.
 
     The small argument's log is log v or the caller's log(1 - v), which
-    alone carries 1 - v past the normal range.  The values take 1 - v as
-    -expm1(log v), as the float rule does; the pair, whose callers hold
-    exact logs (the tanh-sinh nodes), takes e^(log(1 - v)).
-    ``_beta_complement`` runs only where the other side is asked for.
+    alone carries 1 - v past the normal range; its value is v or
+    -expm1(log v), as in the float rule.  ``_beta_complement`` runs only
+    where the other side is asked for.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v = np.exp(logv)
         swap = v > 0.5
-        log_x = np.where(swap, log1mv, logv)
-        x = np.exp(log_x) if upper is None else np.where(swap, -np.expm1(logv), v)
-        p, q = np.where(swap, b, a), np.where(swap, a, b)
+        log_x, x = np.where(swap, log1mv, logv), np.where(swap, -np.expm1(logv), v)
         tiny = log_x < _LOG_TINY
-        lead = p * log_x - np.log(p) - log_beta_ab
-        s = np.where(tiny, np.exp(lead), _ufuncs.betainc(p, q, x))
-        if upper is None:
-            small, large = np.where(tiny, lead, np.log(s)), np.log1p(-s)
-            big = (s > 0.5) & ~tiny
-            large[big] = np.log(_beta_complement(p[big], q[big], x[big], s[big]))
-            return np.where(swap, large, small), np.where(swap, small, large)
+        p, q = np.where(swap, b, a), np.where(swap, a, b)
+        s = np.where(tiny, np.exp(p * log_x - np.log(p) - log_beta_ab), _ufuncs.betainc(p, q, x))
         comp = swap != upper
         out = np.where(comp, 1.0 - s, s)
         comp &= ~tiny
@@ -271,6 +262,20 @@ def _tanh_sinh_level(level: int) -> np.ndarray:
     return nodes
 
 
+@functools.cache
+def _tanh_sinh_pass(first: int, stop: int) -> tuple:
+    """``_tanh_sinh_level``'s four rows for levels first..stop-1 side by side,
+    then the side rule's parameter-free pieces: the mask v > 1/2, the log and
+    value of x = min(v, 1 - v), and the mask log x < ``_LOG_TINY``."""
+    nodes = np.concatenate([_tanh_sinh_level(k) for k in range(first, stop)], axis=1)
+    swap = np.exp(nodes[0]) > 0.5
+    log_x = np.where(swap, nodes[1], nodes[0])
+    pieces = (*nodes, swap, log_x, np.exp(log_x), log_x < _LOG_TINY)
+    for piece in pieces:
+        piece.flags.writeable = False
+    return pieces
+
+
 class NonIntegrableError(ValueError, RuntimeError):
     """Raised when an expectation over the latent beta variate has no
     finite value: a divergent index set (a ``ValueError``), or a
@@ -286,12 +291,16 @@ def _latent_log_integrals(dist, powers) -> list:
     variate of the latent beta variate v.  A row's log integrand is
     log dv/dt plus power * log column, added in column order; a zero
     power adds nothing, and no column that only zero powers read is
-    formed.  The step halves, up to 6 times, and each row is fixed at
-    the first level where its last two agree to 1e-12 relative, so its
-    value does not depend on the rows beside it.  Each row's terms are
-    summed scaled by its running maximum, so an integral may lie far
-    outside the double range.  A row whose last two levels differ by
-    more than 1e-8 relative raises ``NonIntegrableError``.
+    formed; the complement of the small side's beta ratio is taken only
+    on the side a read column takes it from.  The step halves, up to 6
+    times, and each row is fixed at the first level where its last two
+    agree to 1e-12 relative, so its value does not depend on the rows
+    beside it.  No row can be fixed before level 1, so levels 0 and 1
+    share one pass that forms the columns at both levels' nodes, and each
+    row is still fixed level by level, from the pass's slice for a level.
+    Each row's terms are summed scaled by its running maximum, so an
+    integral may lie far outside the double range.  A row whose last two
+    levels differ by more than 1e-8 relative raises ``NonIntegrableError``.
     """
     a, b, alpha = dist.a, dist.b, dist.alpha
     rows = len(powers)
@@ -305,10 +314,10 @@ def _latent_log_integrals(dist, powers) -> list:
     shift = [-math.inf] * rows   # running max of each row's log terms
     total = [0.0] * rows         # each row's terms scaled by e^-shift
     est = [math.nan] * rows
-    for level in range(_TS_LEVELS):
-        logv, log1mv, loglogv, lterm = _tanh_sinh_level(level)
+    for first, stop in [(0, min(2, _TS_LEVELS))] + [(k, k + 1) for k in range(2, _TS_LEVELS)]:
+        logv, log1mv, loglogv, lterm, swap, log_x, x, tiny = _tanh_sinh_pass(first, stop)
         cols = [logv, log1mv, loglogv, None, None, None, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if used & {3, 4}:
                 zed = -logv / alpha              # w = e^-zed
                 # log(1 - e^-zed); log zed - zed/2 where zed is tiny or 0
@@ -318,27 +327,42 @@ def _latent_log_integrals(dist, powers) -> list:
                 cols[4] = np.where(zed > 30.0, -zed + np.log1p(0.5 * np.exp(-zed)),
                                    np.log(-cols[3]))
             if used & {5, 6}:
-                cols[5:] = _beta_tail_array(a, b, dist.log_beta_ab, logv, log1mv)
-            for c, p in terms:
-                term = p * cols[c]
-                lterm = lterm + (np.where(p == 0.0, 0.0, term) if rows > 1 and c > 4 else term)
+                # the side rule of _beta_tail_array at the cached small argument x
+                p, q = np.where(swap, b, a), np.where(swap, a, b)
+                lead = p * log_x - np.log(p) - dist.log_beta_ab
+                s = np.where(tiny, np.exp(lead), _ufuncs.betainc(p, q, x))
+                small, large = np.where(tiny, lead, np.log(s)), np.log1p(-s)
+                # log I_v reads large where swap, log(1 - I_v) where not
+                read = swap if 6 not in used else ~swap if 5 not in used else True
+                big = (s > 0.5) & ~tiny & read
+                large[big] = np.log(_beta_complement(p[big], q[big], x[big], s[big]))
+                cols[5] = np.where(swap, large, small) if 5 in used else None
+                cols[6] = np.where(swap, small, large) if 6 in used else None
+            for c, power in terms:
+                term = power * cols[c]
+                lterm = lterm + (np.where(power == 0.0, 0.0, term) if rows > 1 and c > 4 else term)
         # a 1-d lterm is every row's: no column's powers differ between them
-        for k, row in enumerate(lterm if lterm.ndim > 1 else [lterm] * rows):
-            if out[k] is not None:
-                continue
-            top = float(row.max())
-            if top > shift[k]:
-                rescale = math.exp(shift[k] - top)
-                total[k], est[k], shift[k] = total[k] * rescale, est[k] * rescale, top
-            total[k] += float(np.exp(row - shift[k]).sum())
-            prev, est[k] = est[k], total[k] * _TS_H0 / 2 ** level
-            rel = abs(est[k] - prev) / est[k]
-            if rel <= _TS_RTOL or level == _TS_LEVELS - 1 and rel <= _TS_FAIL_RTOL:
-                out[k] = shift[k] + math.log(est[k])
-            elif level == _TS_LEVELS - 1:
-                raise NonIntegrableError(
-                    f"the tanh-sinh rule did not converge for {dist} at powers "
-                    f"{powers[k]} (last two levels differ by {rel:.2g} relative)")
+        lterms = lterm if lterm.ndim > 1 else [lterm] * rows
+        end = 0
+        for level in range(first, stop):
+            start, end = end, end + _tanh_sinh_level(level).shape[1]
+            for k, row in enumerate(lterms):
+                if out[k] is not None:
+                    continue
+                row = row[start:end]
+                top = float(row.max())
+                if top > shift[k]:
+                    rescale = math.exp(shift[k] - top)
+                    total[k], est[k], shift[k] = total[k] * rescale, est[k] * rescale, top
+                total[k] += float(np.exp(row - shift[k]).sum())
+                prev, est[k] = est[k], total[k] * _TS_H0 / 2 ** level
+                rel = abs(est[k] - prev) / est[k]
+                if rel <= _TS_RTOL or level == _TS_LEVELS - 1 and rel <= _TS_FAIL_RTOL:
+                    out[k] = shift[k] + math.log(est[k])
+                elif level == _TS_LEVELS - 1:
+                    raise NonIntegrableError(
+                        f"the tanh-sinh rule did not converge for {dist} at powers "
+                        f"{powers[k]} (last two levels differ by {rel:.2g} relative)")
         if None not in out:
             break
     return out

@@ -85,6 +85,8 @@ def log_beta(a: float, b: float) -> float:
 # Bernoulli numbers B_2k, k = 1..6, for the asymptotic tails (the
 # digamma tail takes B_2k / (2k)).
 _BERN2K = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730)
+#: The (digamma, trigamma) tail coefficients (B_2k / (2k), B_2k), k = 6..1.
+_BERN2K_HORNER = np.array([(b2k / (2 * k), b2k) for k, b2k in enumerate(_BERN2K, start=1)][::-1])
 _POLY_SHIFT = 10.0
 
 
@@ -145,18 +147,21 @@ def _psi_trigamma(x):
     psi(x) = psi(x + 10) - sum_k 1/(x + k) and
     psi'(x) = psi'(x + 10) + sum_k 1/(x + k)^2 over k = 0..9, formed in
     one broadcast, and the Bernoulli tails of ``polygamma`` at x + 10 by
-    Horner's rule in 1/(x + 10)^2.  Within 1e-15 of mpmath, relative to
-    max(|psi^(m)(x)|, 1), over x in [e^-4.5, 2e4].
+    one Horner loop in 1/(x + 10)^2 over both orders at once.  Within 1e-15
+    of mpmath, relative to max(|psi^(m)(x)|, 1), over x in [e^-4.5, 2e4].
     """
     x = np.asarray(x, dtype=float)
     r = 1.0 / (x[..., None] + np.arange(_POLY_SHIFT))
     w = x + _POLY_SHIFT
     inv = 1.0 / w
     inv2 = inv * inv
-    tail0 = tail1 = 0.0
-    for k in range(len(_BERN2K), 0, -1):
-        tail0 = (tail0 + _BERN2K[k - 1] / (2 * k)) * inv2
-        tail1 = (tail1 + _BERN2K[k - 1]) * inv2
+    # both orders end to end in one flat array: one contiguous loop a step
+    inv2_2 = np.concatenate((inv2, inv2), axis=None)
+    coef = np.repeat(_BERN2K_HORNER, inv2.size, axis=1)
+    tail = coef[0] * inv2_2
+    for c in coef[1:]:
+        tail = (tail + c) * inv2_2
+    tail0, tail1 = tail.reshape((2,) + x.shape)
     psi = np.log(w) - 0.5 * inv - tail0 - r.sum(axis=-1)
     psi1 = inv + 0.5 * inv2 + inv * tail1 + (r * r).sum(axis=-1)
     return psi, psi1

@@ -454,6 +454,22 @@ class TestLatentEngine:
                 assert distribution._latent_log_integrals(d, rows) == [
                     distribution._latent_log_integrals(d, [row])[0] for row in rows]
 
+    def test_one_side_rows_keep_their_bits_beside_the_other_side(self):
+        # a row reading only log(1 - I_v), (1, 3, 1), or only log I_v,
+        # (3, 3, 1), takes the complement of the small side's ratio on its
+        # own side alone; batched with the other, both sides are formed in
+        # full, and each row keeps its bits
+        rng = np.random.default_rng(1)
+        for params in np.exp(rng.uniform(-4.5, 4.5, size=(30, 4))):
+            d = BGE(*map(float, params))
+            rows = [(d.a - 1.0, d.b - 1.0, 0, 0, 1, i - 1, 3 - i) for i in (1, 3)]
+            try:
+                alone = [distribution._latent_log_integrals(d, [row])[0] for row in rows]
+            except NonIntegrableError:
+                continue
+            assert distribution._latent_log_integrals(d, rows) == alone
+            assert distribution._latent_log_integrals(d, rows[::-1]) == alone[::-1]
+
 
 class TestFit:
     def test_exponential_closed_form(self, rng):

@@ -200,6 +200,24 @@ class TestPsiTrigamma:
                 want = mp.polygamma(order, mp.mpf(float(xi)))
                 assert abs(v - want) <= 1e-14 * max(abs(want), 1), (order, xi)
 
+    def test_every_shape_gives_the_bits_of_the_stacked_call(self):
+        # the fit kernel's (3, rows) call is the reference: a 0-d, a 1-d and
+        # a (3, rows) argument return each element's bits
+        x = np.exp(np.linspace(-4.5, math.log(2e4), 3 * 17)).reshape(3, 17)
+        psi, tri = sf._psi_trigamma(x)
+        for i, j in np.ndindex(x.shape):
+            p0, t0 = sf._psi_trigamma(x[i, j])
+            assert p0.shape == t0.shape == ()
+            assert (p0.tobytes(), t0.tobytes()) == (psi[i, j].tobytes(), tri[i, j].tobytes())
+        for i in range(3):
+            p1, t1 = sf._psi_trigamma(x[i])
+            assert (p1.tobytes(), t1.tobytes()) == (psi[i].tobytes(), tri[i].tobytes())
+        for j in range(17):
+            p1, t1 = sf._psi_trigamma(x[:, j])
+            assert (p1.tobytes(), t1.tobytes()) == (psi[:, j].tobytes(), tri[:, j].tobytes())
+        p2, t2 = sf._psi_trigamma(x.copy())
+        assert (p2.tobytes(), t2.tobytes()) == (psi.tobytes(), tri.tobytes())
+
 
 class TestChi2Sf:
     def test_chi2_sf_known(self):
