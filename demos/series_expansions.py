@@ -12,6 +12,7 @@ from bgedist.series import (cdf_series, closed_form_cdf_integer, mgf,
 
 d_real = BGE(1.5, 2.7, 1.0, 1.3)   # real non-integer b: infinite expansion
 d_int = BGE(2.0, 3.0, 1.0, 1.5)    # integer b: finite binomial sums
+d_small = BGE(2.0, 0.3, 1.0, 1.5)  # small b: a slow one-signed tail, summed as an integral
 
 print("--- cdf: series vs incomplete-beta evaluation ---")
 for d in (d_real, d_int):
@@ -20,6 +21,11 @@ for d in (d_real, d_int):
         res = cdf_series(d, x, full_output=True)
         print(f"  x={x:4.1f}: series={res.value:.12f} ({res.terms} terms, "
               f"bound {res.error_bound:.1e})  direct={d.cdf(x):.12f}")
+x = d_small.quantile(0.99)
+res = cdf_series(d_small, x, full_output=True)
+print(f"{d_small} at its 0.99 quantile, where the terms decay like a power:")
+print(f"  x={x:4.1f}: series={res.value:.12f} ({res.terms} terms, "
+      f"bound {res.error_bound:.1e})  direct={d_small.cdf(x):.12f}")
 
 print("\n--- density mixture and integer-parameter closed forms ---")
 for x in (0.5, 1.5):

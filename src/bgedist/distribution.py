@@ -282,9 +282,53 @@ class NonIntegrableError(ValueError, RuntimeError):
     tanh-sinh rule that does not converge (a ``RuntimeError``)."""
 
 
+def _tanh_sinh_rows(log_terms, rows: int, describe) -> tuple:
+    """The log of each of ``rows`` integrals by the tanh-sinh rule, and its
+    last level difference relative to it.
+
+    ``log_terms`` maps a pass's node table (``_tanh_sinh_pass``) to the log
+    terms, log dv/dt included: a (rows, nodes) array, or one row for all.
+    The step halves, up to 6 times; each row is fixed at the first level
+    where its last two agree to 1e-12 relative, so it does not depend on the
+    rows beside it.  Levels 0 and 1, where no row can be fixed yet, share a
+    pass.  Each row's terms are summed scaled by their running maximum, so an
+    integral may lie far outside the double range.  A row still 1e-8 apart
+    at its last level raises ``NonIntegrableError``, naming ``describe(row)``.
+    """
+    out, diff = [None] * rows, [math.nan] * rows
+    # each row's running max of its log terms, its terms scaled by e^-max, its estimate
+    shift, total, est = [-math.inf] * rows, [0.0] * rows, [math.nan] * rows
+    for first, stop in [(0, min(2, _TS_LEVELS))] + [(k, k + 1) for k in range(2, _TS_LEVELS)]:
+        lterm = log_terms(_tanh_sinh_pass(first, stop))
+        lterms = lterm if lterm.ndim > 1 else [lterm] * rows
+        end = 0
+        for level in range(first, stop):
+            start, end = end, end + _tanh_sinh_level(level).shape[1]
+            for k, row in enumerate(lterms):
+                if out[k] is not None:
+                    continue
+                row = row[start:end]
+                top = float(row.max())
+                if top > shift[k]:
+                    rescale = math.exp(shift[k] - top)
+                    total[k], est[k], shift[k] = total[k] * rescale, est[k] * rescale, top
+                total[k] += float(np.exp(row - shift[k]).sum())
+                prev, est[k] = est[k], total[k] * _TS_H0 / 2 ** level
+                rel = abs(est[k] - prev) / est[k]
+                if rel <= _TS_RTOL or level == _TS_LEVELS - 1 and rel <= _TS_FAIL_RTOL:
+                    out[k], diff[k] = shift[k] + math.log(est[k]), rel
+                elif level == _TS_LEVELS - 1:
+                    raise NonIntegrableError(
+                        f"the tanh-sinh rule did not converge for {describe(k)} "
+                        f"(last two levels differ by {rel:.2g} relative)")
+        if None not in out:
+            break
+    return out, diff
+
+
 def _latent_log_integrals(dist, powers) -> list:
     """The log of the integral over v in (0, 1) of prod_c column_c^power_c
-    by the tanh-sinh rule, for each row of ``powers``.
+    by the tanh-sinh rule of ``_tanh_sinh_rows``, for each row of ``powers``.
 
     The seven columns are v, 1 - v, -log v, 1 - w, lam x, I_v(a, b) and
     1 - I_v(a, b) at w = v^(1/alpha), lam x = -log(1 - w) being the BGE
@@ -292,15 +336,7 @@ def _latent_log_integrals(dist, powers) -> list:
     log dv/dt plus power * log column, added in column order; a zero
     power adds nothing, and no column that only zero powers read is
     formed; the complement of the small side's beta ratio is taken only
-    on the side a read column takes it from.  The step halves, up to 6
-    times, and each row is fixed at the first level where its last two
-    agree to 1e-12 relative, so its value does not depend on the rows
-    beside it.  No row can be fixed before level 1, so levels 0 and 1
-    share one pass that forms the columns at both levels' nodes, and each
-    row is still fixed level by level, from the pass's slice for a level.
-    Each row's terms are summed scaled by its running maximum, so an
-    integral may lie far outside the double range.  A row whose last two
-    levels differ by more than 1e-8 relative raises ``NonIntegrableError``.
+    on the side a read column takes it from.
     """
     a, b, alpha = dist.a, dist.b, dist.alpha
     rows = len(powers)
@@ -310,12 +346,9 @@ def _latent_log_integrals(dist, powers) -> list:
     terms = [(c, col[0] if len(set(col)) == 1 else np.array(col)[:, None])
              for c, col in enumerate(zip(*powers)) if any(col)]
     used = {c for c, _ in terms}
-    out = [None] * rows
-    shift = [-math.inf] * rows   # running max of each row's log terms
-    total = [0.0] * rows         # each row's terms scaled by e^-shift
-    est = [math.nan] * rows
-    for first, stop in [(0, min(2, _TS_LEVELS))] + [(k, k + 1) for k in range(2, _TS_LEVELS)]:
-        logv, log1mv, loglogv, lterm, swap, log_x, x, tiny = _tanh_sinh_pass(first, stop)
+
+    def log_terms(nodes):
+        logv, log1mv, loglogv, lterm, swap, log_x, x, tiny = nodes
         cols = [logv, log1mv, loglogv, None, None, None, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if used & {3, 4}:
@@ -341,31 +374,9 @@ def _latent_log_integrals(dist, powers) -> list:
             for c, power in terms:
                 term = power * cols[c]
                 lterm = lterm + (np.where(power == 0.0, 0.0, term) if rows > 1 and c > 4 else term)
-        # a 1-d lterm is every row's: no column's powers differ between them
-        lterms = lterm if lterm.ndim > 1 else [lterm] * rows
-        end = 0
-        for level in range(first, stop):
-            start, end = end, end + _tanh_sinh_level(level).shape[1]
-            for k, row in enumerate(lterms):
-                if out[k] is not None:
-                    continue
-                row = row[start:end]
-                top = float(row.max())
-                if top > shift[k]:
-                    rescale = math.exp(shift[k] - top)
-                    total[k], est[k], shift[k] = total[k] * rescale, est[k] * rescale, top
-                total[k] += float(np.exp(row - shift[k]).sum())
-                prev, est[k] = est[k], total[k] * _TS_H0 / 2 ** level
-                rel = abs(est[k] - prev) / est[k]
-                if rel <= _TS_RTOL or level == _TS_LEVELS - 1 and rel <= _TS_FAIL_RTOL:
-                    out[k] = shift[k] + math.log(est[k])
-                elif level == _TS_LEVELS - 1:
-                    raise NonIntegrableError(
-                        f"the tanh-sinh rule did not converge for {dist} at powers "
-                        f"{powers[k]} (last two levels differ by {rel:.2g} relative)")
-        if None not in out:
-            break
-    return out
+        return lterm
+
+    return _tanh_sinh_rows(log_terms, rows, lambda k: f"{dist} at powers {powers[k]}")[0]
 
 
 @dataclass(frozen=True)

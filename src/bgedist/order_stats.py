@@ -14,8 +14,8 @@ Moments and mgfs are expectations over the latent Beta(a, b) variate,
 one row of the tanh-sinh engine that the expected information and
 ``series.moment_set`` use (``distribution._latent_log_integrals``),
 which raises ``NonIntegrableError``, a ``RuntimeError``, where it does
-not converge.  No quadrature cut is placed on the x axis, so
-``scipy.integrate`` is not loaded.
+not converge.  No quadrature cut is placed on the x axis; that rule is
+the package's one quadrature rule, and nothing loads ``scipy.integrate``.
 """
 
 from __future__ import annotations

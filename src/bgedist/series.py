@@ -8,9 +8,9 @@ less rounding into the alternating sums than differences of ``lgamma``
 values do, and which at integer b gives (-1)^j C(b-1, j), exactly 0
 from j = b on.  Terms are evaluated in numpy blocks of the summation
 index, and a sum stops on the fixed truncation constants ``_TERM_TOL``
-and ``_MAX_TERMS``; ``scipy.integrate`` is imported by the tail integral
-that uses it, so importing the package does not load it.  The engine
-serves ``cdf_series`` and ``pdf_mixture``; its coefficients and
+and ``_MAX_TERMS``; a slowly decaying one-signed tail is summed as an
+integral on the latent engine's tanh-sinh nodes (``_flat_tail``).  The
+engine serves ``cdf_series`` and ``pdf_mixture``; its coefficients and
 cancellation guard also serve the order-statistic density mixture.
 
 The mgf, the raw moments (``raw_moment``, ``moment_set`` and so
@@ -27,6 +27,7 @@ tests still check the paper's expansions against it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import specfun
 from .distribution import (BGE, NonIntegrableError, _latent_log_integrals, _tanh_sinh_level,
-                           log1mexp)
+                           _tanh_sinh_rows, log1mexp)
 
 __all__ = [
     "SeriesEval",
@@ -114,6 +115,42 @@ def _scaled_terms(coef: np.ndarray, log_scale: float, lp: np.ndarray) -> np.ndar
         return np.ldexp(coef * np.exp((log_scale - e2 * _LN2) + lp), e2)
 
 
+def _flat_tail(b: float, log_payload: Callable, log_scale: float, j: int, what: str) -> tuple:
+    """The one-signed remainder past term j as the midpoint (Euler-Maclaurin)
+    integral over x > x0 = j + 1/2 of |term(x)| = exp(log_scale) Gamma(b)
+    payload(x) Gamma(x+1-b) |sin(pi b)| / (pi Gamma(x+1)), the rule's error,
+    and a bound on the mass past the rule's end.
+
+    Over w = log(x / x0), L(w) = log |term(x)| + log x is concave for the
+    library's payloads.  The rule of ``_tanh_sinh_rows`` runs on w = W v,
+    W the first whole w where L is 40 below L(0), on a grid of step 1 up to
+    where x leaves the double range: a geometric cutoff of the payload then
+    lies at the rule's end, where the nodes cluster.  By concavity the mass
+    past W is at most e^L(W) / s, s the grid's last step down.
+    """
+    x0 = j + 0.5
+    const = log_scale + math.lgamma(b) + math.log(abs(math.sin(math.pi * b)) / math.pi)
+
+    def log_g(w):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x0 * np.exp(w)   # x + 1 - b > 11.5, as the exit needs j > b + 10
+            g = const + log_payload(x) - specfun._stirling_diff(x + 1.0 - b, b) + np.log(x)
+            return np.where(x < math.inf, g, -math.inf)
+
+    grid = log_g(np.arange(math.floor(math.log(sys.float_info.max / x0)) + 1.0))
+    fallen = grid < grid[0] - 40.0
+    end = int(np.argmax(fallen)) if fallen.any() else grid.size - 1
+    step = float(grid[end - 1] - grid[end])
+    beyond = math.exp(grid[end]) / step if step > 0.0 else math.inf
+    try:
+        (log_tail,), (rel,) = _tanh_sinh_rows(
+            lambda nodes: log_g(end * np.exp(nodes[0])) + math.log(end) + nodes[3], 1,
+            lambda _: f"the {what} tail past j = {j}")
+    except NonIntegrableError as exc:
+        raise SeriesConvergenceError(str(exc), partial=math.nan, terms=j + 1) from exc
+    return math.exp(log_tail), rel * math.exp(log_tail), beyond
+
+
 def _sum_series(b: float,
                 log_payload: Callable[[np.ndarray], np.ndarray],
                 log_scale: float,
@@ -134,54 +171,17 @@ def _sum_series(b: float,
     * three consecutive terms below ``_TERM_TOL`` past j = b + 2 (fast
       geometric decay, and every integer-b sum);
     * once the tail is one-signed and locally flat, the remainder is a
-      smooth power-decay sequence whose sum is taken by the midpoint
-      (Euler-Maclaurin) integral of the continuous term extension
-      |term(x)| = exp(log_scale) Gamma(b) payload(x) Gamma(x+1-b)
-      |sin(pi b)| / (pi Gamma(x+1)); this handles the slowly converging
-      small-b case.
+      smooth power-decay sequence whose sum is the integral of
+      ``_flat_tail``; this handles the slowly converging small-b case.
+      ``SeriesConvergenceError`` is raised where the tail's mass past the
+      double range may exceed 1e-8 of the sum.
     """
-    log_sin = math.log(abs(math.sin(math.pi * b))) - math.log(math.pi)
     j_min = min(int(math.ceil(b)) + 3, _MAX_TERMS)
     h = _HISTORY
     # the running sum and peak, and the last h magnitudes, signs and
     # sub-tolerance flags carried into the next block
     coef_before, total, peak = 1.0, 0.0, 0.0
-    mags = np.full(h, np.nan)
-    signs = np.zeros(h)
-    small = np.zeros(h, dtype=bool)
-
-    def tail_sum(j: int) -> float:
-        """Midpoint integral of the continuous term extension past j."""
-        import warnings
-
-        from scipy.integrate import IntegrationWarning, quad
-
-        def cont_mag(x: float) -> float:
-            lp = float(log_payload(x))
-            if lp == -math.inf:
-                return 0.0
-            # lgamma(x+1-b) - lgamma(x+1) via the stable difference: the
-            # direct subtraction is pure roundoff once x is huge
-            lmag = (log_scale + math.lgamma(b) + lp + log_sin
-                    - specfun.lgamma_diff(x + 1.0 - b, b))
-            return math.exp(lmag) if lmag < 700.0 else math.inf
-
-        x0 = j + 0.5
-
-        def tail_integrand(w: float) -> float:
-            # log substitution x = x0 e^w compresses both the
-            # polynomial and slow-geometric tail scales
-            if w > 600.0:
-                return 0.0
-            x = x0 * math.exp(w)
-            return cont_mag(x) * x
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            tail, _ = quad(tail_integrand, 0.0, math.inf,
-                           epsabs=_TERM_TOL, epsrel=1e-9, limit=200)
-        return tail
-
+    mags, signs, small = np.full(h, np.nan), np.zeros(h), np.zeros(h, dtype=bool)
     j0, size = 0, _BLOCK_MIN
     while j0 < _MAX_TERMS:
         n = min(size, _MAX_TERMS - j0)
@@ -220,14 +220,17 @@ def _sum_series(b: float,
                 # cancellation against the peak term caps the
                 # achievable accuracy in doubles regardless of truncation
                 return SeriesEval(value, bound + peak_i * 1e-15 + _TERM_TOL, jj + 1)
-            # midpoint-rule remainder for the one-signed tail is
-            # |g'(X0)|/24 ~ d * t_j / 24 with d the local log-slope
-            mj = float(mag[i])
-            est_err = math.log(float(m8[i]) / mj) / 8.0 * mj / 8.0
-            tail = tail_sum(jj)
+            # the midpoint rule's remainder |g'(X0)|/24 ~ d t_j / 24, d the log-slope
+            est_err = float(d[i] * mag[i]) / 8.0
+            tail, rule_err, beyond = _flat_tail(b, log_payload, log_scale, jj, what)
             value += float(s2[i]) * tail
             _cancellation_guard(value, peak_i, what)
-            return SeriesEval(value, est_err + 1e-9 * tail + peak_i * 1e-15 + _TERM_TOL,
+            if not beyond <= 1e-8 * abs(value):
+                raise SeriesConvergenceError(
+                    f"{what}: the tail past j = {jj} has not decayed where x leaves the "
+                    f"double range (mass beyond up to {beyond:.3g} vs sum {value:.3g})",
+                    partial=value, terms=jj + 1)
+            return SeriesEval(value, est_err + rule_err + beyond + peak_i * 1e-15 + _TERM_TOL,
                               jj + 1)
         coef_before, total, peak = coef[-1], run[-1], run_peak[-1]
         mags, signs, small = m_ext[-h:], s_ext[-h:], k_ext[-h:]
@@ -249,16 +252,11 @@ def cdf_series(dist: BGE, x: float, full_output: bool = False):
         raise ValueError(f"cdf_series requires x >= 0, got {x}")
     a, b, alpha = dist.a, dist.b, dist.alpha
     if x == 0.0:
-        out = SeriesEval(0.0, 0.0, 0)
-        return out if full_output else 0.0
+        return SeriesEval(0.0, 0.0, 0) if full_output else 0.0
     logu = log1mexp(dist.lam * x)
-
-    def payload(j: np.ndarray) -> np.ndarray:
-        return alpha * (a + j) * logu - np.log(a + j)
-
-    res = _sum_series(b, payload, -specfun.log_beta(a, b), "cdf_series")
-    value = min(max(res.value, 0.0), 1.0)
-    res = SeriesEval(value, res.error_bound, res.terms)
+    res = _sum_series(b, lambda j: alpha * (a + j) * logu - np.log(a + j),
+                      -specfun.log_beta(a, b), "cdf_series")
+    res = res._replace(value=min(max(res.value, 0.0), 1.0))
     return res if full_output else res.value
 
 
@@ -266,35 +264,25 @@ def closed_form_cdf_integer(dist: BGE, x: float, which: str) -> float:
     """Finite closed forms of the cdf for integer a or integer b.
 
     ``which`` selects the branch: "integer_a" requires a to be a
-    positive integer, "integer_b" requires b to be one.
+    positive integer, "integer_b" requires b to be one.  With G = u^alpha
+    they are 1 - (1-G)^b / Gamma(b) sum_{j<a} Gamma(b+j)/j! G^j and
+    G^a / Gamma(a) sum_{j<b} Gamma(a+j)/j! (1-G)^j.
     """
     if which not in ("integer_a", "integer_b"):
         raise ValueError(f"which must be 'integer_a' or 'integer_b', got {which!r}")
     if x <= 0.0:
         return 0.0
-    a, b, alpha = dist.a, dist.b, dist.alpha
-    logu = log1mexp(dist.lam * x)
-    log1mua = log1mexp(-alpha * logu)
-
-    if which == "integer_a":
-        n = round(a)
-        if n < 1 or abs(a - n) > 1e-9:
-            raise ValueError(f"integer_a form requires integral a, got {a}")
-        # 1 - (1-u^alpha)^b / Gamma(b) * sum Gamma(b+j)/j! u^(alpha j)
-        logs = [math.lgamma(b + j) - math.lgamma(j + 1) + alpha * j * logu
-                for j in range(n)]
-        lmax = max(logs)
-        s = sum(math.exp(l - lmax) for l in logs)
-        return 1.0 - math.exp(b * log1mua - math.lgamma(b) + lmax + math.log(s))
-
-    n = round(b)
-    if n < 1 or abs(b - n) > 1e-9:
-        raise ValueError(f"integer_b form requires integral b, got {b}")
-    # u^(a alpha) / Gamma(a) * sum Gamma(a+j)/j! (1-u^alpha)^j
-    logs = [math.lgamma(a + j) - math.lgamma(j + 1) + j * log1mua for j in range(n)]
+    log_g = dist.alpha * log1mexp(dist.lam * x)
+    log_1mg = log1mexp(-log_g)
+    # the integer shape, the other one, and the logs of the power's and the sum's bases
+    n, c, log_p, log_q = ((dist.a, dist.b, log_1mg, log_g) if which == "integer_a"
+                          else (dist.b, dist.a, log_g, log_1mg))
+    if round(n) < 1 or abs(n - round(n)) > 1e-9:
+        raise ValueError(f"{which} form requires integral {which[-1]}, got {n}")
+    logs = [math.lgamma(c + j) - math.lgamma(j + 1) + j * log_q for j in range(round(n))]
     lmax = max(logs)
-    s = sum(math.exp(l - lmax) for l in logs)
-    return math.exp(a * alpha * logu - math.lgamma(a) + lmax + math.log(s))
+    log_s = c * log_p - math.lgamma(c) + lmax + math.log(sum(math.exp(l - lmax) for l in logs))
+    return 1.0 - math.exp(log_s) if which == "integer_a" else math.exp(log_s)
 
 
 def pdf_mixture(dist: BGE, x: float) -> float:
@@ -305,11 +293,7 @@ def pdf_mixture(dist: BGE, x: float) -> float:
     logu = log1mexp(lam * x)
     base = (math.log(alpha) + math.log(lam) - specfun.log_beta(a, b)
             - lam * x + (a * alpha - 1.0) * logu)
-
-    def payload(j: np.ndarray) -> np.ndarray:
-        return alpha * j * logu
-
-    return max(_sum_series(b, payload, base, "pdf_mixture").value, 0.0)
+    return max(_sum_series(b, lambda j: alpha * j * logu, base, "pdf_mixture").value, 0.0)
 
 
 # -- mgf and moments: rows of the latent engine ------------------------------
@@ -363,9 +347,7 @@ def _latent_moments(dist: BGE, orders: tuple) -> list:
     """E[(lam X)^r] for each r in ``orders`` as the rows of one engine call
     over the latent variate V ~ Beta(a, b), lam X = -log(1 - V^(1/alpha)).
 
-    Each row is fixed at the first level where its last two agree to
-    1e-12 relative; one whose last difference is above 1e-8 relative
-    raises ``SeriesConvergenceError``."""
+    A row that does not converge raises ``SeriesConvergenceError``."""
     rows = [(dist.a - 1.0, dist.b - 1.0, 0, 0, r, 0, 0) for r in orders]
     try:
         log_integrals = _latent_log_integrals(dist, rows)

@@ -66,6 +66,13 @@ def lgamma_diff(y: float, delta: float) -> float:
             + _stirling_tail(y + delta) - _stirling_tail(y))
 
 
+def _stirling_diff(y, delta):
+    """``lgamma_diff``'s Stirling branch over arrays of y >= 11.5, nan at y = inf;
+    y * y overflows to inf past 1e154, harmlessly, so callers silence that."""
+    return ((y - 0.5) * np.log1p(delta / y) + delta * np.log(y + delta) - delta
+            + _stirling_tail(y + delta) - _stirling_tail(y))
+
+
 def log_beta(a: float, b: float) -> float:
     """Natural log of the beta function B(a, b), a > 0, b > 0.
 

@@ -65,6 +65,15 @@ def test_moments_and_sweep_load_no_scipy_integrate_or_special():
     assert out.strip() == ""
 
 
+def test_flat_tail_cdf_series_loads_no_scipy():
+    # x is fixed, not a quantile, which would load scipy.special
+    out = _run("import sys; from bgedist import BGE; from bgedist.series import cdf_series; "
+               "ev = cdf_series(BGE(2, 0.3, 1, 1.5), 16.6, full_output=True); "
+               "print(ev.terms > 128 and (ev.terms - 1) % 32 == 0, "
+               "*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.split() == ["True"]
+
+
 def test_bge_fit_loads_no_scipy_optimize():
     out = _run("import sys; from bgedist import fit_mle, glass_fibre_sample; "
                "fit = fit_mle(glass_fibre_sample(), 'bge'); "

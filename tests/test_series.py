@@ -83,6 +83,15 @@ class TestCdfSeries:
     def test_x_zero(self):
         assert cdf_series(BGE(2, 3, 1, 1), 0.0) == 0.0
 
+    def test_flat_tail_cutoff_past_w_600(self):
+        # the payload's geometric cutoff u^(alpha x) lies near w = lam x -
+        # log x0 of the tail integral over w = log(x / x0), past w = 600 here:
+        # a rule cut at w = 600 returned 0.999994805567363 at both x, 3e-6 off
+        d = BGE(2.0, 0.02, 1.0, 0.5)
+        for x in (650.0, 700.0):
+            ev = cdf_series(d, x, full_output=True)
+            assert abs(ev.value - d.cdf(x)) <= ev.error_bound < 1e-9, (x, ev)
+
 
 class TestClosedFormInteger:
     def test_ge_reduction(self):
@@ -178,6 +187,19 @@ class TestMgf:
                                      -sf.log_beta(a, b), "mgf").value
             rhs = math.exp(sf.log_beta(b - t, a) - sf.log_beta(a, b))
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    @pytest.mark.parametrize("a, b, t", [(2.0, 0.05, 0.02), (1.5, 0.02, 0.01)])
+    def test_appendix_identity_within_its_bound_or_refused(self, a, b, t):
+        # the terms decay like j^-(1 + b - t): the tail's mass past where x
+        # leaves the double range is about 1e-9 and 2e-3 of the sum here,
+        # which the bound must cover, or the sum must be refused
+        rhs = math.exp(sf.log_beta(b - t, a) - sf.log_beta(a, b))
+        try:
+            ev = series._sum_series(b, lambda j: betaln(1.0 - t, a + j),
+                                    -sf.log_beta(a, b), "mgf")
+        except SeriesConvergenceError:
+            return
+        assert abs(ev.value - rhs) <= ev.error_bound, ev
 
 
 class TestMoments:

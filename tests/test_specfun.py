@@ -58,6 +58,24 @@ class TestLogBeta:
             assert [sf.log_beta(x, 1e160) for x in a] == pytest.approx(want, rel=1e-13)
 
 
+class TestStirlingDiff:
+    def test_array_form_vs_scalar(self):
+        # the series tail's gamma ratio over arrays, for y >= 11.5 as its
+        # exit needs; below y = 15 the scalar lgamma_diff subtracts two
+        # lgamma values, up to 1.1e-13 off at delta = e^-4.5, so mpmath
+        # is the reference there
+        ys = np.geomspace(11.5, 1e300, 200)
+        for delta in np.exp(np.linspace(-4.5, 4.5, 19)):
+            delta = float(delta)
+            with np.errstate(over="ignore"):
+                diffs = sf._stirling_diff(ys, delta)
+            for y, got in zip(ys, diffs):
+                y = float(y)
+                want = (sf.lgamma_diff(y, delta) if y >= 15.0 else
+                        float(mp.loggamma(mp.mpf(y) + delta) - mp.loggamma(y)))
+                assert got == pytest.approx(want, rel=1e-14), (y, delta)
+
+
 def ratio(y, a, b):
     """I_y(a, b), the cdf of BGE(a, b, 1, 1) at x = -log(1 - y)."""
     return BGE(a, b, 1.0, 1.0).cdf(-math.log1p(-y))

@@ -1,5 +1,6 @@
 """Print a SHA-256 over every fit of the ``fit_study`` op list, per seed,
-and one over every caller of the latent engine on the box design.
+one over every caller of the latent engine on the box design, and one over
+the paper's series there.
 
     python tools/fit_digest.py 1 2 3
 
@@ -9,10 +10,14 @@ does, and prints ``seed <N> <digest>``.  The next line gives the digest of
 the glass-fibre fits of every model.  Each fit adds its model, params,
 loglik, iterations, converged, hit_bounds, score_norm and covariance
 bytes to the hash, so two trees that print the same digests fit
-bit-identically.  The last line, ``engine <digest>``, hashes each engine
+bit-identically.  The next line, ``engine <digest>``, hashes each engine
 caller of ``ENGINE_CALLS`` at the 300 points of the box design
 (``tests/test_box_contract.py``'s): its value's repr, the matrix bytes
-of an ``InfoMatrix``, or the type and message of what it raised.
+of an ``InfoMatrix``, or the type and message of what it raised.  The
+last line, ``series <digest>``, hashes the paper's series on the same
+design at x = the quantiles 0.01, 0.5 and 0.99: the value, error bound and
+term count of ``cdf_series`` and the value of ``pdf_mixture``, or what
+they raised.
 """
 
 import hashlib
@@ -41,15 +46,20 @@ def engine_calls(worker) -> list:
             lambda d: t_expectation(d, 1, 1, 1, 1, 0)]
 
 
-def engine_digest(worker) -> str:
+def box_design() -> list:
+    """The 300 distributions of the box design."""
     import numpy as np
     from bgedist import BGE
 
-    h = hashlib.sha256()
     rng = np.random.default_rng(0)
-    calls = engine_calls(worker)
-    for p in np.exp(rng.uniform(-4.5, 4.5, size=(300, 4))):
-        d = BGE(*map(float, p))
+    return [BGE(*map(float, p)) for p in np.exp(rng.uniform(-4.5, 4.5, size=(300, 4)))]
+
+
+def digest(calls) -> str:
+    """The hash over each call's value at each design point, a raise hashed
+    as its type and message."""
+    h = hashlib.sha256()
+    for d in box_design():
         for call in calls:
             try:
                 value = call(d)
@@ -60,6 +70,16 @@ def engine_digest(worker) -> str:
             h.update(repr(value if matrix is None else value.fallback_entries).encode())
             h.update(b"" if matrix is None else matrix.tobytes())
     return h.hexdigest()
+
+
+def series_calls() -> list:
+    """``cdf_series`` with its bound and terms, and ``pdf_mixture``, at the
+    quantiles 0.01, 0.5 and 0.99."""
+    from bgedist.series import cdf_series, pdf_mixture
+
+    return [call for p in (0.01, 0.5, 0.99) for call in (
+        lambda d, p=p: cdf_series(d, d.quantile(p), full_output=True),
+        lambda d, p=p: pdf_mixture(d, d.quantile(p)))]
 
 
 def load_worker():
@@ -94,7 +114,8 @@ def main(argv) -> None:
     for m in MODELS:
         add_fit(h, fit_mle(y, m))
     print(f"glass_fibre {h.hexdigest()}")
-    print(f"engine {engine_digest(worker)}")
+    print(f"engine {digest(engine_calls(worker))}")
+    print(f"series {digest(series_calls())}")
 
 
 if __name__ == "__main__":
